@@ -43,9 +43,6 @@ RS122   ``submit``/``submit_group`` race annotation is incomplete
         ``"B@g0"`` whose base buffer is never written)
 RS123   math on a path where the charge is conditional (uncharged
         or double-charged branch in a timed scope)
-RS124   asymptotic drift: an executor's statically interpreted
-        per-phase FLOP total disagrees with the Figure 5 closed
-        forms in :mod:`repro.perfmodel.costs` at reference dims
 RS125   async hygiene in ``repro.serve``: blocking call inside an
         ``async def``, un-awaited coroutine, unbounded queue
 ======  =====================================================
@@ -56,11 +53,13 @@ residency family (RS115-RS119) is *project-wide*: the engine builds a
 symbol table and call graph over every file under analysis and runs a
 forward abstract interpretation on the host/device residency lattice
 (:mod:`repro.analysis.dataflow`), so a value produced in one module
-and misused in another is one finding at the sink.  The shape/cost
-family (RS121-RS124) rides the same symbol table with a symbolic
+and misused in another is one finding at the sink.  The shape
+family (RS121, RS123) rides the same symbol table with a symbolic
 shape lattice (:mod:`repro.analysis.shapes`) seeded from ``@shaped``
-declarations, and cross-checks the charged cost model against the
-paper's closed forms (``repro-bench analyze --audit-costs``).
+declarations.  Whether the charged totals match the paper's Figure 5
+closed forms is checked at runtime instead, on a symbolic run of the
+real executor (``repro-bench analyze --audit-costs``,
+:mod:`repro.analysis.audit`).
 
 Run ``python -m repro.analysis src/repro`` (or ``python -m repro.cli
 analyze``); see ``docs/static_analysis.md`` for the rule reference,

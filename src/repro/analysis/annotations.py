@@ -26,7 +26,7 @@ ALLOW_UNTIMED_MATH = "allow_untimed_math"
 #: for.
 RESIDENCY = "residency"
 
-#: The decorator name the symbolic shape pass (RS121-RS124) looks for.
+#: The decorator name the symbolic shape pass (RS121, RS123) looks for.
 SHAPED = "shaped"
 
 #: Legal residency declarations.  ``device`` means "lives in simulated
@@ -118,7 +118,7 @@ def _valid_shape_decl(value) -> bool:
 def shaped(returns=None, params=None):
     """Declare the symbolic shapes of a callable's arrays.
 
-    The symbolic shape pass (rules RS121-RS124, see
+    The symbolic shape pass (rules RS121 and RS123, see
     :mod:`repro.analysis.shapes`) seeds its abstract interpretation at
     these declarations.  Dimensions are *symbols* — the paper's
     ``m, n, k, l, q`` — and the same symbol used twice inside one

@@ -1,72 +1,64 @@
-"""``repro-bench analyze --audit-costs``: three-way cost-model audit.
+"""``repro-bench analyze --audit-costs``: charged costs vs Figure 5.
 
-RS124 statically interprets the executors' charge hooks and compares
-the totals against the Figure 5 closed forms — but a static
-interpreter can be wrong in ways that only running the code exposes
-(a charge hook the op trace misses, an op sequence that drifted from
-``repro.core.random_sampling``).  This audit closes that loop: for the
-paper's fig15 configuration (``m=150000 n=2500 k=54 p=10 q=1``, one
-device) it produces **three independent** per-phase FLOP totals and
-demands they agree to :data:`repro.analysis.shapes.DRIFT_TOLERANCE`:
+The executor's charge hooks (:class:`repro.gpu.device.GPUExecutor`)
+and the paper's Figure 5 closed forms (:mod:`repro.perfmodel.costs`)
+are written separately, and a wrong coefficient or a transposed
+dimension in either shifts every modeled timing curve.  This audit
+runs the real fixed-rank pipeline — ``timed_fixed_rank`` at ``ng=1``
+on a symbolic :class:`repro.gpu.device.SymArray` with a
+:class:`repro.obs.spans.SpanRecorder` attached, the same mechanism the
+sweeps and ``repro.tune`` use — and compares each phase's charged
+FLOPs (``recorder.counters[phase].flops``) against the closed form at
+the same dimensions, scaled by the phase's charge convention from
+:data:`COST_STEPS`.  The run is symbolic, so even the paper-scale
+fig15 point takes milliseconds.
 
-``static``
-    The RS124 interpreter's totals
-    (:func:`repro.analysis.shapes.static_phase_flops`) for the
-    single-device executor found in the analyzed tree — computed from
-    source text alone, never by importing it.
-``runtime``
-    An actual instrumented run: ``timed_fixed_rank`` on a symbolic
-    :class:`repro.gpu.device.SymArray` with a
-    :class:`repro.obs.spans.SpanRecorder` attached, read back from
-    ``recorder.counters[phase].flops``.  The run is symbolic, so the
-    audit is fast even at paper scale.
-``closed``
-    The Figure 5 closed forms in :mod:`repro.perfmodel.costs`,
-    evaluated by interpreting their bodies at the same dimensions
-    (times the per-step charge-convention scale from ``COST_STEPS``).
-
-Exit code follows the analyzer contract: 0 when every audited phase
-agrees pairwise, 1 on drift, 2 on configuration errors.
+It audits the importable ``repro`` package, not a source tree.  Exit
+code follows the analyzer contract: 0 when every phase agrees within
+:data:`DRIFT_TOLERANCE` at every audited point, 1 on drift.
 """
 
 from __future__ import annotations
 
-import ast
-import sys
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Tuple
 
-from ..errors import StaticAnalysisError
-from .findings import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS
-from .shapes import (COST_STEPS, DRIFT_TOLERANCE, eval_cost_flops,
-                     find_cost_function, find_executor_classes,
-                     static_phase_flops)
+from .findings import EXIT_CLEAN, EXIT_FINDINGS
 
-__all__ = ["AUDIT_POINT", "audit_costs", "main"]
+__all__ = ["AUDIT_POINT", "REF_POINTS", "COST_STEPS", "DRIFT_TOLERANCE",
+           "audit_costs"]
 
-#: The fig15 configuration at ``ng=1`` (``l = k + p = 64``), chosen
-#: because it is the paper's largest phase-breakdown problem: leading
-#: terms dominate, so drift here is model drift, not rounding.
+#: The fig15 configuration at ``ng=1`` (``l = k + p = 64``), the paper's
+#: largest phase-breakdown problem: leading terms dominate, so drift
+#: here is model drift, not rounding.
 AUDIT_POINT: Dict[str, int] = {"m": 150_000, "n": 2_500, "k": 54,
                                "p": 10, "q": 1}
 
+#: Two more points in the paper's regime (``k <= l << n <= m``), all
+#: dimensions distinct so a transposed argument cannot evaluate
+#: coincidentally equal.
+REF_POINTS: Tuple[Dict[str, int], ...] = (
+    {"m": 15000, "n": 3000, "k": 54, "p": 10, "q": 2},
+    {"m": 9000, "n": 2000, "k": 24, "p": 8, "q": 1},
+)
 
-def _build_table(paths: Sequence[Path]):
-    """Parse ``paths`` into a :class:`SymbolTable` (no cache: the audit
-    must reflect the tree on disk, not a blob)."""
-    from .callgraph import ModuleInfo, SymbolTable
-    from .engine import ModuleContext, iter_python_files
-    infos = []
-    for path in iter_python_files(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (OSError, SyntaxError) as exc:
-            raise StaticAnalysisError(
-                f"cannot parse {path}: {exc}") from exc
-        relpath = ModuleContext._normalize(path, None)
-        infos.append(ModuleInfo(path, relpath, tree))
-    return SymbolTable(infos)
+#: (phase, Figure 5 cost function, its arguments, charged/closed-form
+#: scale).  The ``qr`` scale of 2 is the CholQR2 convention: the
+#: runtime charges both passes of the reorthogonalized factorization
+#: while the closed form counts a single QR (see perfmodel/costs.py).
+COST_STEPS: Tuple[Tuple[str, str, Tuple[str, ...], float], ...] = (
+    ("sampling", "gaussian_sampling_cost", ("m", "n", "l"), 1.0),
+    ("gemm_iter", "power_iteration_mult_cost", ("m", "n", "l", "q"), 1.0),
+    ("orth_iter", "power_iteration_orth_cost", ("m", "n", "l", "q"), 1.0),
+    ("qrcp", "qrcp_sampled_cost", ("n", "l", "k"), 1.0),
+    ("qr", "qr_selected_cost", ("m", "k"), 2.0),
+)
+
+#: Relative drift beyond which the audit fails.  Generous enough for
+#: the lower-order terms the closed forms keep (e.g. ``2k^3/3``) and
+#: the small charges sharing a phase (TRSM in ``other``), tight enough
+#: that a wrong leading coefficient or a swapped dimension always
+#: trips it.
+DRIFT_TOLERANCE = 0.05
 
 
 def _runtime_phase_flops(point: Dict[str, int]) -> Dict[str, float]:
@@ -80,84 +72,46 @@ def _runtime_phase_flops(point: Dict[str, int]) -> Dict[str, float]:
             for phase, counter in rec.counters.items()}
 
 
+def _closed_flops(cost_name: str, args: Dict[str, int]) -> float:
+    # Looked up per call so a patched closed form is what gets audited.
+    from ..perfmodel import costs
+    return getattr(costs, cost_name)(**args).flops
+
+
 def _drift(value: float, reference: float) -> float:
     if reference == 0.0:
         return 0.0 if value == 0.0 else float("inf")
     return abs(value - reference) / abs(reference)
 
 
-def audit_costs(paths: Sequence[Path],
-                tolerance: float = DRIFT_TOLERANCE,
-                out=None) -> int:
-    """Run the three-way audit; print the table; return an exit code."""
-    out = out if out is not None else sys.stdout
-    table = _build_table(paths)
-
-    executors = find_executor_classes(table)
-    chosen = None
-    for mod, cls in executors:
-        if cls.name == "GPUExecutor":
-            chosen = (mod, cls)
-            break
-    if chosen is None and executors:
-        chosen = executors[0]
-    if chosen is None:
-        print("repro-analyze: error: no charging single-device "
-              "executor class found in the analyzed paths",
-              file=sys.stderr)
-        return EXIT_ERROR
-
-    point = dict(AUDIT_POINT)
-    point["l"] = point["k"] + point["p"]
-    static, warnings = static_phase_flops(table, chosen[0], chosen[1],
-                                          point)
-    for warning in warnings:
-        print(f"[audit-costs: {warning}]", file=sys.stderr)
-    runtime = _runtime_phase_flops(point)
-
-    mod, cls = chosen
-    print(f"[audit-costs: {cls.name} ({mod.relpath}) at "
-          + " ".join(f"{k}={point[k]}" for k in ("m", "n", "k", "l", "q"))
-          + f", tolerance {tolerance:.0%}]", file=out)
-    header = (f"{'phase':<10} {'static':>12} {'runtime':>12} "
-              f"{'closed':>12} {'vs runtime':>10} {'vs closed':>10}")
-    print(header, file=out)
-    print("-" * len(header), file=out)
-
+def audit_costs() -> int:
+    """Audit every point; print one table per point; return an exit
+    code."""
     failed: List[str] = []
-    for phase, cost_name, arg_names, scale, _anchor in COST_STEPS:
-        fn = find_cost_function(table, cost_name)
-        closed: Optional[float] = None
-        if fn is not None:
-            closed = eval_cost_flops(
-                table, fn, {a: point[a] for a in arg_names})
-            if closed is not None:
-                closed *= scale
-        st = static.get(phase, 0.0)
-        rt = runtime.get(phase, 0.0)
-        d_rt = _drift(st, rt)
-        d_cf = _drift(st, closed) if closed is not None else float("inf")
-        ok = d_rt <= tolerance and d_cf <= tolerance
-        if not ok:
-            failed.append(phase)
-        closed_txt = f"{closed:12.4e}" if closed is not None \
-            else f"{'?':>12}"
-        print(f"{phase:<10} {st:12.4e} {rt:12.4e} {closed_txt} "
-              f"{d_rt:>9.2%} {d_cf:>9.2%}"
-              + ("" if ok else "  <-- DRIFT"), file=out)
+    for point in (AUDIT_POINT,) + REF_POINTS:
+        dims = dict(point, l=point["k"] + point["p"])
+        where = " ".join(f"{d}={dims[d]}" for d in ("m", "n", "k", "l", "q"))
+        runtime = _runtime_phase_flops(point)
+        print(f"[audit-costs: GPUExecutor at {where}, "
+              f"tolerance {DRIFT_TOLERANCE:.0%}]")
+        header = f"{'phase':<10} {'runtime':>12} {'closed':>12} {'drift':>8}"
+        print(header)
+        print("-" * len(header))
+        for phase, cost_name, arg_names, scale in COST_STEPS:
+            closed = scale * _closed_flops(
+                cost_name, {a: dims[a] for a in arg_names})
+            charged = runtime.get(phase, 0.0)
+            drift = _drift(charged, closed)
+            ok = drift <= DRIFT_TOLERANCE
+            if not ok:
+                failed.append(f"{phase} ({where})")
+            print(f"{phase:<10} {charged:12.4e} {closed:12.4e} "
+                  f"{drift:>7.2%}" + ("" if ok else "  <-- DRIFT"))
 
     if failed:
         print(f"[audit-costs: DRIFT in {len(failed)} phase(s): "
-              f"{', '.join(failed)}]", file=out)
+              f"{', '.join(failed)}]")
         return EXIT_FINDINGS
-    print("[audit-costs: static, runtime, and closed-form totals "
-          "agree on every audited phase]", file=out)
+    print("[audit-costs: runtime and closed-form totals agree on every "
+          "audited phase]")
     return EXIT_CLEAN
-
-
-def main(paths: Sequence[str]) -> int:
-    try:
-        return audit_costs([Path(p) for p in paths])
-    except StaticAnalysisError as exc:
-        print(f"repro-analyze: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR

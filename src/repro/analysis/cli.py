@@ -93,10 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the rule ids and summaries, then "
                              "exit")
     parser.add_argument("--audit-costs", action="store_true",
-                        help="three-way cost audit at the fig15 "
-                             "configuration: RS124's static per-phase "
-                             "FLOP totals vs an instrumented symbolic "
-                             "run vs the Figure 5 closed forms "
+                        help="cost audit of the importable repro "
+                             "package (paths are ignored): per-phase "
+                             "FLOPs charged by a symbolic GPUExecutor "
+                             "run vs the Figure 5 closed forms at the "
+                             "fig15 point and two reference points "
                              "(exit 1 on drift)")
     return parser
 
@@ -112,8 +113,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.audit_costs:
-        from .audit import main as audit_main
-        return audit_main(args.paths)
+        from .audit import audit_costs
+        return audit_costs()
 
     registry = all_rules()
     if args.list_rules:

@@ -397,7 +397,7 @@ def run_analysis(paths: Sequence[Path],
     to_analyze = [rec for rec in records if not rec.valid]
     stats.analyzed = len(to_analyze)
 
-    # -- project passes (RS115-RS119 residency, RS121-RS124 shapes) ------
+    # -- project passes (RS115-RS119 residency, RS121/RS123 shapes) ------
     table = None
     raw_by_file: Dict[str, List] = {}
     if (needs_project or needs_shapes) and to_analyze:

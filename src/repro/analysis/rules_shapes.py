@@ -1,6 +1,6 @@
-"""RS121-RS125: the symbolic shape & cost-consistency rule family.
+"""RS121-RS125: the symbolic shape & charge-consistency rule family.
 
-RS121/RS123/RS124 are computed project-wide by
+RS121/RS123 are computed project-wide by
 :class:`repro.analysis.shapes.ShapeAnalysis` (a forward abstract
 interpretation over the symbolic shape lattice, sharing the symbol
 table — and therefore the incremental cache, ``--jobs`` fan-out, SARIF
@@ -28,7 +28,6 @@ __all__ = [
     "ChargedShapeMismatchChecker",
     "IncompleteRaceAnnotationChecker",
     "UnchargedBranchChecker",
-    "AsymptoticDriftChecker",
     "AsyncHygieneChecker",
 ]
 
@@ -92,25 +91,6 @@ class UnchargedBranchChecker(_ShapeRuleChecker):
     rule = "RS123"
     summary = ("math reachable on a path whose kernel charges differ "
                "from its sibling path")
-
-
-@register
-class AsymptoticDriftChecker(_ShapeRuleChecker):
-    """RS124: charged totals drift from the Figure 5 closed forms.
-
-    The executor's charge hooks are statically interpreted over the
-    fixed-rank algorithm trace at two reference dimension points, and
-    the per-phase flop totals are compared against the closed forms in
-    ``perfmodel/costs.py`` (``gaussian_sampling_cost``,
-    ``power_iteration_*_cost``, ``qrcp_sampled_cost``,
-    ``qr_selected_cost``) to leading order.  A wrong coefficient or a
-    transposed dimension in any charge site shifts a phase total by far
-    more than the lower-order slack and fires here.
-    """
-
-    rule = "RS124"
-    summary = ("per-phase charged flops drift from the Figure 5 "
-               "closed-form costs beyond leading order")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Symbolic shape & cost-consistency analysis (rules RS121-RS124).
+"""Symbolic shape & charge-consistency analysis (rules RS121, RS123).
 
 The cost model behind every figure is hand-written: ``gemm_seconds(m,
 n, k)`` calls whose arguments must agree with the shapes of the
-operands actually multiplied, and per-phase charge totals that must
-agree with the closed-form leading-order costs of Figure 5.  Nothing
-ties those together at runtime — a transposed argument charges the
+operands actually multiplied.  Nothing ties the two together at
+runtime — a transposed argument charges the
 wrong seconds and every downstream timing curve silently drifts.  This
 pass closes the gap with a forward abstract interpretation over a
 **symbolic shape lattice**:
@@ -35,23 +34,12 @@ RS121   charged-kernel shape mismatch: the ``(m, n, k)`` triple passed
 RS123   uncharged/double-charged branches: a GEMM-class math op
         reachable both with and without a preceding charge, or a
         conditional that computes in both arms but charges in one
-RS124   asymptotic drift: per-phase flop totals summed over the
-        executor's charge sites (extracted by statically interpreting
-        the charge hooks over the fixed-rank trace) disagree with the
-        Figure 5 closed forms in ``perfmodel/costs.py`` beyond leading
-        order
 ======  ==============================================================
 
-RS124's static side is shared with ``repro-bench analyze
---audit-costs`` (:mod:`repro.analysis.audit`), which additionally
-cross-checks the statically extracted totals against the
-runtime-charged totals of an instrumented symbolic run.
-
-Cache caveat (same class as the method-name caveat recorded in
-``cache.py``): RS124 relates charge sites in the executor module to
-closed forms in ``perfmodel/costs.py`` without an import edge between
-them, so after editing only the cost forms run once with
-``--no-cache``.
+Whether the charged per-phase totals agree with the Figure 5 closed
+forms is not a static question: ``repro-bench analyze --audit-costs``
+(:mod:`repro.analysis.audit`) runs the executor symbolically and
+compares what it actually charged.
 """
 
 from __future__ import annotations
@@ -60,19 +48,14 @@ import ast
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import (ClassInfo, FunctionInfo, ModuleInfo, SymbolTable,
-                        call_name)
+from .callgraph import FunctionInfo, ModuleInfo, SymbolTable, call_name
 from .dataflow import RawFinding
 
-__all__ = ["ShapeAnalysis", "Dim", "unify", "same",
-           "REF_POINTS", "COST_STEPS", "CostInterp", "ShapeVal", "OPAQUE",
-           "find_cost_function", "find_executor_classes",
-           "static_phase_flops", "eval_cost_flops"]
+__all__ = ["ShapeAnalysis", "Dim", "unify", "same"]
 
 
 RULE_SHAPE = "RS121"
 RULE_BRANCH = "RS123"
-RULE_DRIFT = "RS124"
 
 #: Call leaves whose first three positional arguments are a charged
 #: GEMM dimension triple.
@@ -839,717 +822,6 @@ def _contains_charge(stmts: Sequence[ast.stmt]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The restricted charge interpreter (RS124 + --audit-costs static side)
-# ---------------------------------------------------------------------------
-
-class _Opaque:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<opaque>"
-
-
-OPAQUE = _Opaque()
-
-
-class ShapeVal:
-    """A shape-only array stub (the interpreter's SymArray)."""
-
-    __slots__ = ("dims",)
-
-    def __init__(self, dims: Tuple):
-        self.dims = tuple(dims)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShapeVal{self.dims}"
-
-
-class InstanceVal:
-    """An instance of an analyzed class, with writable attrs."""
-
-    __slots__ = ("cls", "mod", "attrs")
-
-    def __init__(self, cls: ClassInfo, mod: ModuleInfo):
-        self.cls = cls
-        self.mod = mod
-        self.attrs: Dict[str, object] = {}
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class _Raise(Exception):
-    pass
-
-
-class _Budget(Exception):
-    pass
-
-
-class CostInterp:
-    """Statically interprets executor methods, recording every charge.
-
-    A deliberately restricted concrete interpreter over the symbol
-    table: arithmetic, tuples, comparisons, branches with resolvable
-    tests, ``for`` over concrete ranges, and cross-module calls that
-    resolve inside the analyzed set.  Arrays are :class:`ShapeVal`
-    stubs and ``is_symbolic`` is ``True``, so method bodies follow
-    exactly the path a real symbolic (``SymArray``) run takes — charges
-    first, math skipped.  Everything it cannot resolve becomes
-    ``OPAQUE`` and is never guessed at; an unresolvable charge records
-    a warning instead of a number.
-    """
-
-    def __init__(self, table: SymbolTable, budget: int = 200_000):
-        self.table = table
-        self.sinks: List[Tuple[object, object]] = []
-        self.warnings: List[str] = []
-        self._budget = budget
-        self._depth = 0
-        self._const_cache: Dict[Tuple[str, str], object] = {}
-
-    # -- public ------------------------------------------------------------
-    def call_method(self, inst: InstanceVal, name: str,
-                    args: Sequence[object],
-                    kwargs: Optional[Dict[str, object]] = None) -> object:
-        fn = self.table.resolve_method(inst.mod, inst.cls, name)
-        if fn is None:
-            self.warnings.append(f"method {name} not found on "
-                                 f"{inst.cls.name}")
-            return OPAQUE
-        return self._run_function(fn, [inst] + list(args), kwargs or {})
-
-    def phase_totals(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for phase, flops in self.sinks:
-            if not isinstance(phase, str):
-                continue
-            value = flops if isinstance(flops, (int, float)) \
-                and not isinstance(flops, bool) else 0.0
-            totals[phase] = totals.get(phase, 0.0) + float(value)
-        return totals
-
-    def eval_function(self, fn: FunctionInfo,
-                      kwargs: Dict[str, object]) -> Dict[str, object]:
-        """Run a module-level function, returning its final local env
-        (how cost closed forms expose their ``flops`` variable)."""
-        env: Dict[str, object] = {}
-        try:
-            self._bind_params(fn, [], dict(kwargs), env)
-            self._exec_body(fn, env)
-        except _Return:
-            pass
-        except (_Raise, _Budget):
-            pass
-        return env
-
-    # -- function machinery ------------------------------------------------
-    def _run_function(self, fn: FunctionInfo, args: Sequence[object],
-                      kwargs: Dict[str, object]) -> object:
-        if self._depth > 12:
-            self.warnings.append(f"call depth exceeded at {fn.qualname}")
-            return OPAQUE
-        self._depth += 1
-        env: Dict[str, object] = {}
-        try:
-            self._bind_params(fn, args, kwargs, env)
-            self._exec_body(fn, env)
-            return None
-        except _Return as ret:
-            return ret.value
-        except (_Raise, _Budget):
-            return OPAQUE
-        finally:
-            self._depth -= 1
-
-    def _bind_params(self, fn: FunctionInfo, args: Sequence[object],
-                     kwargs: Dict[str, object],
-                     env: Dict[str, object]) -> None:
-        node = fn.node
-        names = fn.params
-        defaults = node.args.defaults
-        # Align defaults to the tail of the positional parameter list.
-        offset = len(names) - len(defaults)
-        for i, name in enumerate(names):
-            if i < len(args):
-                env[name] = args[i]
-            elif name in kwargs:
-                env[name] = kwargs.pop(name)
-            elif i >= offset:
-                env[name] = self._eval(defaults[i - offset], env, fn)
-            else:
-                env[name] = OPAQUE
-        for kwarg, default in zip(node.args.kwonlyargs,
-                                  node.args.kw_defaults):
-            name = kwarg.arg
-            if name in kwargs:
-                env[name] = kwargs.pop(name)
-            elif default is not None:
-                env[name] = self._eval(default, env, fn)
-            else:
-                env[name] = OPAQUE
-
-    def _exec_body(self, fn: FunctionInfo, env: Dict[str, object]) -> None:
-        for stmt in fn.node.body:
-            self._exec(stmt, env, fn)
-
-    # -- statements --------------------------------------------------------
-    def _exec(self, node: ast.stmt, env: Dict[str, object],
-              fn: FunctionInfo) -> None:
-        self._budget -= 1
-        if self._budget <= 0:
-            raise _Budget()
-        if isinstance(node, ast.Assign):
-            value = self._eval(node.value, env, fn)
-            for target in node.targets:
-                self._assign(target, value, env, fn)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._assign(node.target,
-                             self._eval(node.value, env, fn), env, fn)
-        elif isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Name):
-                current = env.get(node.target.id, OPAQUE)
-                delta = self._eval(node.value, env, fn)
-                env[node.target.id] = _arith(node.op, current, delta)
-        elif isinstance(node, ast.Expr):
-            self._eval(node.value, env, fn)
-        elif isinstance(node, ast.Return):
-            raise _Return(self._eval(node.value, env, fn)
-                          if node.value is not None else None)
-        elif isinstance(node, ast.If):
-            test = self._eval(node.test, env, fn)
-            if isinstance(test, _Opaque):
-                # Pure-raise guard bodies are validation: skip them.
-                if all(isinstance(s, ast.Raise) for s in node.body):
-                    for child in node.orelse:
-                        self._exec(child, env, fn)
-                elif node.orelse \
-                        and all(isinstance(s, ast.Raise)
-                                for s in node.orelse):
-                    for child in node.body:
-                        self._exec(child, env, fn)
-                else:
-                    self.warnings.append(
-                        f"unresolved branch at {fn.qualname}:"
-                        f"{node.lineno}")
-            elif test:
-                for child in node.body:
-                    self._exec(child, env, fn)
-            else:
-                for child in node.orelse:
-                    self._exec(child, env, fn)
-        elif isinstance(node, ast.For):
-            iterable = self._eval(node.iter, env, fn)
-            if isinstance(iterable, (range, list, tuple)):
-                for item in list(iterable)[:256]:
-                    self._assign(node.target, item, env, fn)
-                    for child in node.body:
-                        self._exec(child, env, fn)
-            else:
-                if any(_is_charge_node(n) for s in node.body
-                       for n in ast.walk(s)):
-                    self.warnings.append(
-                        f"skipped loop with charges at {fn.qualname}:"
-                        f"{node.lineno}")
-        elif isinstance(node, ast.While):
-            self.warnings.append(
-                f"skipped while loop at {fn.qualname}:{node.lineno}") \
-                if any(_is_charge_node(n) for s in node.body
-                       for n in ast.walk(s)) else None
-        elif isinstance(node, ast.With):
-            for child in node.body:
-                self._exec(child, env, fn)
-        elif isinstance(node, ast.Try):
-            for child in node.body:
-                self._exec(child, env, fn)
-        elif isinstance(node, ast.Raise):
-            raise _Raise()
-        elif isinstance(node, (ast.Pass, ast.Assert, ast.Import,
-                               ast.ImportFrom, ast.Global, ast.Delete,
-                               ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef, ast.Break, ast.Continue)):
-            return
-
-    def _assign(self, target: ast.expr, value: object,
-                env: Dict[str, object], fn: FunctionInfo) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = value
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            if isinstance(value, (tuple, list)) \
-                    and len(value) == len(target.elts):
-                for elt, item in zip(target.elts, value):
-                    self._assign(elt, item, env, fn)
-            else:
-                for elt in target.elts:
-                    self._assign(elt, OPAQUE, env, fn)
-        elif isinstance(target, ast.Attribute):
-            base = self._eval(target.value, env, fn)
-            if isinstance(base, InstanceVal):
-                base.attrs[target.attr] = value
-
-    # -- expressions -------------------------------------------------------
-    def _eval(self, node: ast.expr, env: Dict[str, object],
-              fn: FunctionInfo) -> object:
-        self._budget -= 1
-        if self._budget <= 0:
-            raise _Budget()
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id in env:
-                return env[node.id]
-            if node.id in ("True", "False", "None"):  # pragma: no cover
-                return {"True": True, "False": False,
-                        "None": None}[node.id]
-            return self._module_const(fn.owner, node.id)
-        if isinstance(node, ast.Attribute):
-            base = self._eval(node.value, env, fn)
-            if isinstance(base, InstanceVal):
-                return base.attrs.get(node.attr, OPAQUE)
-            if isinstance(base, ShapeVal):
-                if node.attr == "T":
-                    return ShapeVal(base.dims[::-1])
-                if node.attr == "shape":
-                    return base.dims
-            return OPAQUE
-        if isinstance(node, ast.BinOp):
-            return _arith(node.op, self._eval(node.left, env, fn),
-                          self._eval(node.right, env, fn))
-        if isinstance(node, ast.UnaryOp):
-            operand = self._eval(node.operand, env, fn)
-            if isinstance(operand, _Opaque):
-                return OPAQUE
-            try:
-                if isinstance(node.op, ast.USub):
-                    return -operand
-                if isinstance(node.op, ast.Not):
-                    return not operand
-                if isinstance(node.op, ast.UAdd):
-                    return +operand
-            except TypeError:
-                return OPAQUE
-            return OPAQUE
-        if isinstance(node, ast.BoolOp):
-            result = None
-            for value_node in node.values:
-                result = self._eval(value_node, env, fn)
-                if isinstance(result, _Opaque):
-                    return OPAQUE
-                if isinstance(node.op, ast.And) and not result:
-                    return result
-                if isinstance(node.op, ast.Or) and result:
-                    return result
-            return result
-        if isinstance(node, ast.Compare):
-            return self._compare(node, env, fn)
-        if isinstance(node, ast.IfExp):
-            test = self._eval(node.test, env, fn)
-            if isinstance(test, _Opaque):
-                return OPAQUE
-            return self._eval(node.body if test else node.orelse, env, fn)
-        if isinstance(node, ast.Call):
-            return self._call(node, env, fn)
-        if isinstance(node, ast.Tuple):
-            return tuple(self._eval(e, env, fn) for e in node.elts)
-        if isinstance(node, ast.List):
-            return [self._eval(e, env, fn) for e in node.elts]
-        if isinstance(node, ast.Subscript):
-            base = self._eval(node.value, env, fn)
-            if isinstance(node.slice, ast.Slice):
-                return self._slice(base, node.slice, env, fn, axis=0)
-            if isinstance(node.slice, ast.Tuple) \
-                    and len(node.slice.elts) == 2 \
-                    and isinstance(base, ShapeVal):
-                out = base
-                for axis, sl in enumerate(node.slice.elts):
-                    if isinstance(sl, ast.Slice):
-                        out = self._slice(out, sl, env, fn, axis=axis)
-                return out
-            index = self._eval(node.slice, env, fn)
-            if isinstance(base, (tuple, list)) and isinstance(index, int):
-                if -len(base) <= index < len(base):
-                    return base[index]
-            return OPAQUE
-        if isinstance(node, ast.JoinedStr):
-            return OPAQUE
-        if isinstance(node, ast.GeneratorExp):
-            return self._genexp(node, env, fn)
-        if isinstance(node, ast.ListComp):
-            gen = self._genexp(node, env, fn)
-            return list(gen) if not isinstance(gen, _Opaque) else OPAQUE
-        return OPAQUE
-
-    def _slice(self, base: object, sl: ast.Slice,
-               env: Dict[str, object], fn: FunctionInfo,
-               axis: int) -> object:
-        if not isinstance(base, ShapeVal) or axis >= len(base.dims):
-            return OPAQUE
-        full = base.dims[axis]
-        if not isinstance(full, int):
-            return OPAQUE
-        lower = self._eval(sl.lower, env, fn) if sl.lower else 0
-        upper = self._eval(sl.upper, env, fn) if sl.upper else full
-        if not isinstance(lower, int) or not isinstance(upper, int):
-            return OPAQUE
-        lower = max(0, lower if lower >= 0 else full + lower)
-        upper = min(full, upper if upper >= 0 else full + upper)
-        dims = list(base.dims)
-        dims[axis] = max(0, upper - lower)
-        return ShapeVal(tuple(dims))
-
-    def _genexp(self, node, env: Dict[str, object],
-                fn: FunctionInfo) -> object:
-        if len(node.generators) != 1:
-            return OPAQUE
-        gen = node.generators[0]
-        iterable = self._eval(gen.iter, env, fn)
-        if not isinstance(iterable, (range, list, tuple)):
-            return OPAQUE
-        out = []
-        for item in list(iterable)[:256]:
-            self._assign(gen.target, item, env, fn)
-            if all(self._eval(c, env, fn) for c in gen.ifs):
-                out.append(self._eval(node.elt, env, fn))
-        return out
-
-    def _compare(self, node: ast.Compare, env: Dict[str, object],
-                 fn: FunctionInfo) -> object:
-        left = self._eval(node.left, env, fn)
-        for op, comp in zip(node.ops, node.comparators):
-            right = self._eval(comp, env, fn)
-            if isinstance(op, ast.Is):
-                result = left is right or (left is None and right is None)
-            elif isinstance(op, ast.IsNot):
-                result = not (left is right
-                              or (left is None and right is None))
-            elif isinstance(left, _Opaque) or isinstance(right, _Opaque):
-                return OPAQUE
-            else:
-                try:
-                    if isinstance(op, ast.Eq):
-                        result = left == right
-                    elif isinstance(op, ast.NotEq):
-                        result = left != right
-                    elif isinstance(op, ast.Lt):
-                        result = left < right
-                    elif isinstance(op, ast.LtE):
-                        result = left <= right
-                    elif isinstance(op, ast.Gt):
-                        result = left > right
-                    elif isinstance(op, ast.GtE):
-                        result = left >= right
-                    elif isinstance(op, ast.In):
-                        result = left in right
-                    elif isinstance(op, ast.NotIn):
-                        result = left not in right
-                    else:
-                        return OPAQUE
-                except TypeError:
-                    return OPAQUE
-            if not result:
-                return False
-            left = right
-        return True
-
-    # -- calls -------------------------------------------------------------
-    def _call(self, node: ast.Call, env: Dict[str, object],
-              fn: FunctionInfo) -> object:
-        dotted = call_name(node.func)
-        leaf = dotted.rsplit(".", 1)[-1] if dotted else ""
-
-        # Charge sinks: record (phase, flops) and move on.
-        if isinstance(node.func, ast.Attribute) \
-                and leaf in ("charge", "submit", "submit_group"):
-            phase = self._eval(node.args[0], env, fn) if node.args \
-                else OPAQUE
-            flops: object = 0.0
-            for kw in node.keywords:
-                if kw.arg == "flops":
-                    flops = self._eval(kw.value, env, fn)
-                elif kw.arg is not None:
-                    self._eval(kw.value, env, fn)
-            if isinstance(phase, _Opaque) or isinstance(flops, _Opaque):
-                self.warnings.append(
-                    f"unresolved charge at {fn.qualname}:{node.lineno}")
-            self.sinks.append((phase, flops))
-            return OPAQUE
-
-        args = [self._eval(a, env, fn) for a in node.args
-                if not isinstance(a, ast.Starred)]
-        kwargs = {kw.arg: self._eval(kw.value, env, fn)
-                  for kw in node.keywords if kw.arg}
-
-        intrinsic = self._intrinsic(leaf, node, args, env, fn)
-        if intrinsic is not NotImplemented:
-            return intrinsic
-
-        # Method on an analyzed instance.
-        if isinstance(node.func, ast.Attribute):
-            base = self._eval(node.func.value, env, fn)
-            if isinstance(base, InstanceVal):
-                target = self.table.resolve_method(base.mod, base.cls, leaf)
-                if target is not None:
-                    return self._run_function(target, [base] + args, kwargs)
-            return OPAQUE
-
-        # Plain or imported function / class in the analyzed set.
-        owner = fn.owner
-        target = self.table.resolve_function(owner, dotted)
-        if target is not None:
-            return self._run_function(target, args, kwargs)
-        cls = self.table.resolve_class(owner, dotted)
-        if cls is not None:
-            if cls.name == "SymArray" and args \
-                    and isinstance(args[0], tuple):
-                return ShapeVal(args[0])
-            return InstanceVal(cls, cls.owner)
-        return OPAQUE
-
-    def _intrinsic(self, leaf: str, node: ast.Call,
-                   args: List[object], env: Dict[str, object],
-                   fn: FunctionInfo) -> object:
-        if leaf == "shape_of":
-            return args[0].dims if args \
-                and isinstance(args[0], ShapeVal) else OPAQUE
-        if leaf == "is_symbolic":
-            return True
-        if leaf == "isinstance":
-            if args and isinstance(args[0], ShapeVal) \
-                    and "SymArray" in ast.dump(node.args[1]):
-                return True
-            return OPAQUE
-        if leaf == "SymArray":
-            return ShapeVal(args[0]) if args \
-                and isinstance(args[0], tuple) else OPAQUE
-        if leaf in ("min", "max", "abs", "float", "int", "len", "sum",
-                    "round", "bool"):
-            if any(isinstance(a, _Opaque) for a in args):
-                return OPAQUE
-            try:
-                impl = {"min": min, "max": max, "abs": abs,
-                        "float": float, "int": int, "len": len,
-                        "sum": sum, "round": round, "bool": bool}[leaf]
-                return impl(*args)
-            except (TypeError, ValueError):
-                return OPAQUE
-        if leaf == "range":
-            if all(isinstance(a, int) for a in args) \
-                    and len(args) in (1, 2, 3):
-                return range(*args)
-            return OPAQUE
-        if leaf == "getattr":
-            if len(args) >= 3 and isinstance(args[0], _Opaque):
-                return args[2]
-            return OPAQUE
-        return NotImplemented
-
-    # -- module constants --------------------------------------------------
-    def _module_const(self, mod: Optional[ModuleInfo],
-                      name: str, _depth: int = 0) -> object:
-        if mod is None or _depth > 4:
-            return OPAQUE
-        key = (mod.name, name)
-        if key in self._const_cache:
-            return self._const_cache[key]
-        self._const_cache[key] = OPAQUE  # cycle guard
-        value: object = OPAQUE
-        for assign in mod.module_assigns:
-            for target in assign.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    value = self._const_expr(assign.value, mod, _depth)
-        if isinstance(value, _Opaque):
-            target_name = mod.from_imports.get(name)
-            if target_name and "." in target_name:
-                owner, leaf = target_name.rsplit(".", 1)
-                owner_mod = self.table.modules.get(owner)
-                if owner_mod is not None:
-                    value = self._module_const(owner_mod, leaf, _depth + 1)
-        self._const_cache[key] = value
-        return value
-
-    def _const_expr(self, node: ast.expr, mod: ModuleInfo,
-                    _depth: int) -> object:
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, (ast.Tuple, ast.List)):
-            items = [self._const_expr(e, mod, _depth) for e in node.elts]
-            if any(isinstance(i, _Opaque) for i in items):
-                return OPAQUE
-            return tuple(items) if isinstance(node, ast.Tuple) else items
-        if isinstance(node, ast.Name):
-            return self._module_const(mod, node.id, _depth + 1)
-        if isinstance(node, ast.BinOp):
-            return _arith(node.op, self._const_expr(node.left, mod, _depth),
-                          self._const_expr(node.right, mod, _depth))
-        return OPAQUE
-
-
-def _arith(op: ast.operator, left: object, right: object) -> object:
-    if isinstance(left, _Opaque) or isinstance(right, _Opaque):
-        return OPAQUE
-    try:
-        if isinstance(op, ast.Add):
-            return left + right
-        if isinstance(op, ast.Sub):
-            return left - right
-        if isinstance(op, ast.Mult):
-            return left * right
-        if isinstance(op, ast.Div):
-            return left / right
-        if isinstance(op, ast.FloorDiv):
-            return left // right
-        if isinstance(op, ast.Mod):
-            return left % right
-        if isinstance(op, ast.Pow):
-            return left ** right
-    except (TypeError, ZeroDivisionError, ValueError):
-        return OPAQUE
-    return OPAQUE
-
-
-# ---------------------------------------------------------------------------
-# RS124: the fixed-rank trace and the Figure 5 step table
-# ---------------------------------------------------------------------------
-
-#: Reference evaluation points (the paper's regime: k <= l << n <= m,
-#: all distinct so a transposed argument cannot evaluate coincidentally
-#: equal).
-REF_POINTS: Tuple[Dict[str, int], ...] = (
-    {"m": 15000, "n": 3000, "l": 64, "k": 54, "q": 2},
-    {"m": 9000, "n": 2000, "l": 32, "k": 24, "q": 1},
-)
-
-#: (phase, Figure 5 cost function, its arguments, charged/closed-form
-#: scale, anchor op).  The ``qr`` scale of 2 is the CholQR2 convention:
-#: the runtime charges both passes of the reorthogonalized factorization
-#: while the closed form counts a single QR (see perfmodel/costs.py).
-COST_STEPS: Tuple[Tuple[str, str, Tuple[str, ...], float, str], ...] = (
-    ("sampling", "gaussian_sampling_cost", ("m", "n", "l"), 1.0,
-     "sample_gemm"),
-    ("gemm_iter", "power_iteration_mult_cost", ("m", "n", "l", "q"), 1.0,
-     "iter_gemm_at"),
-    ("orth_iter", "power_iteration_orth_cost", ("m", "n", "l", "q"), 1.0,
-     "orth_rows"),
-    ("qrcp", "qrcp_sampled_cost", ("n", "l", "k"), 1.0, "qrcp_sampled"),
-    ("qr", "qr_selected_cost", ("m", "k"), 2.0, "qr_selected"),
-)
-
-#: Relative drift beyond which RS124 fires.  Generous enough for the
-#: lower-order terms the closed forms keep (e.g. ``2k^3/3``) and the
-#: small charges sharing a phase (TRSM in ``other``), tight enough that
-#: a wrong leading coefficient or a swapped dimension always trips it.
-DRIFT_TOLERANCE = 0.05
-
-
-def find_executor_classes(table: SymbolTable
-                          ) -> List[Tuple[ModuleInfo, ClassInfo]]:
-    """Charging single-device executor classes: they resolve the
-    algorithm ops and the ``_t_gemm`` hook, and none of their own
-    methods split work with ``local_rows`` (distributed executors
-    charge per-device shapes — RS121's ``local()`` compatibility covers
-    those instead)."""
-    out = []
-    for mod in table.all_modules:
-        for cls in mod.classes.values():
-            if table.resolve_method(mod, cls, "sample_gemm") is None:
-                continue
-            if table.resolve_method(mod, cls, "_t_gemm") is None:
-                continue
-            if any("local_rows" in ast.dump(fn.node)
-                   for base in _class_chain(table, mod, cls)
-                   for fn in base.methods.values()):
-                continue
-            out.append((mod, cls))
-    return out
-
-
-def _class_chain(table: SymbolTable, mod: ModuleInfo,
-                 cls: ClassInfo) -> List[ClassInfo]:
-    """``cls`` plus every resolvable base, in MRO-ish order."""
-    chain: List[ClassInfo] = []
-    seen: Set[Tuple[str, str]] = set()
-    queue: List[Tuple[ModuleInfo, ClassInfo]] = [(mod, cls)]
-    while queue:
-        owner_mod, owner = queue.pop(0)
-        if (owner.module, owner.name) in seen:
-            continue
-        seen.add((owner.module, owner.name))
-        chain.append(owner)
-        for base in owner.bases:
-            base_cls = table.resolve_class(owner_mod, base)
-            if base_cls is not None:
-                queue.append((base_cls.owner, base_cls))
-    return chain
-
-
-def static_phase_flops(table: SymbolTable, mod: ModuleInfo,
-                       cls: ClassInfo, point: Dict[str, int]
-                       ) -> Tuple[Dict[str, float], List[str]]:
-    """Per-phase charged flops of one fixed-rank run, extracted by
-    statically interpreting the executor's charge hooks over the
-    algorithm's op sequence (Figure 2b; the sequence mirrors
-    ``repro.core.random_sampling`` + ``power_iterate``, and
-    ``--audit-costs`` cross-checks it against an actual instrumented
-    run so the two cannot drift apart silently)."""
-    m, n, l, k, q = (point["m"], point["n"], point["l"], point["k"],
-                     point["q"])
-    interp = CostInterp(table)
-    inst = InstanceVal(cls, mod)
-    a = ShapeVal((m, n))
-    interp.call_method(inst, "prng_gaussian", [l, m])
-    interp.call_method(inst, "sample_gemm", [ShapeVal((l, m)), a])
-    for _ in range(q):
-        interp.call_method(inst, "block_orth_rows",
-                           [None, ShapeVal((l, n))])
-        interp.call_method(inst, "orth_rows", [ShapeVal((l, n))])
-        interp.call_method(inst, "iter_gemm_at", [ShapeVal((l, n)), a])
-        interp.call_method(inst, "block_orth_rows",
-                           [None, ShapeVal((l, m))])
-        interp.call_method(inst, "orth_rows", [ShapeVal((l, m))])
-        interp.call_method(inst, "iter_gemm_a", [ShapeVal((l, m)), a])
-    interp.call_method(inst, "qrcp_sampled", [ShapeVal((l, n)), k])
-    interp.call_method(inst, "take_columns", [a, tuple(range(k))])
-    interp.call_method(inst, "qr_selected", [ShapeVal((m, k))])
-    if n > k:
-        interp.call_method(inst, "solve_upper",
-                           [ShapeVal((k, k)), ShapeVal((k, n - k))])
-        interp.call_method(inst, "assemble_r",
-                           [ShapeVal((k, k)), ShapeVal((k, n - k))])
-    return interp.phase_totals(), interp.warnings
-
-
-def find_cost_function(table: SymbolTable,
-                       name: str) -> Optional[FunctionInfo]:
-    """Resolve a Figure 5 closed form, preferring a ``costs`` module."""
-    best = None
-    for mod in table.all_modules:
-        fn = mod.functions.get(name)
-        if fn is None:
-            continue
-        if mod.relpath.endswith("costs.py"):
-            return fn
-        if best is None:
-            best = fn
-    return best
-
-
-def eval_cost_flops(table: SymbolTable, fn: FunctionInfo,
-                    kwargs: Dict[str, object]) -> Optional[float]:
-    """Evaluate a cost function's ``flops`` at concrete dimensions by
-    interpreting its body (never by importing it — fixtures analyze
-    trees that are not importable)."""
-    interp = CostInterp(table)
-    env = interp.eval_function(fn, dict(kwargs))
-    flops = env.get("flops")
-    if isinstance(flops, (int, float)) and not isinstance(flops, bool):
-        return float(flops)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # The project pass
 # ---------------------------------------------------------------------------
 
@@ -1558,9 +830,9 @@ class ShapeAnalysis:
 
     Same engine contract as
     :class:`repro.analysis.dataflow.ProjectAnalysis`: construct, call
-    :meth:`run`, read ``findings_by_file``; the per-file RS121/RS123/
-    RS124 shims in :mod:`repro.analysis.rules_shapes` replay the raw
-    findings through the noqa machinery.
+    :meth:`run`, read ``findings_by_file``; the per-file RS121/RS123
+    shims in :mod:`repro.analysis.rules_shapes` replay the raw findings
+    through the noqa machinery.
     """
 
     def __init__(self, table: SymbolTable):
@@ -1572,7 +844,6 @@ class ShapeAnalysis:
         for mod in self.table.all_modules:
             for fn in mod.all_functions:
                 _ShapeFlow(self, mod, fn).analyze()
-        self._check_cost_drift()
         self.findings.sort(key=lambda f: (f.relpath, f.line, f.rule, f.col))
         return self
 
@@ -1593,57 +864,3 @@ class ShapeAnalysis:
             return
         self._seen_keys.add(raw.key())
         self.findings.append(raw)
-
-    # -- RS124 -------------------------------------------------------------
-    def _check_cost_drift(self) -> None:
-        candidates = find_executor_classes(self.table)
-        if not candidates:
-            return
-        cost_fns = {step[1]: find_cost_function(self.table, step[1])
-                    for step in COST_STEPS}
-        if not any(cost_fns.values()):
-            return
-        for mod, cls in candidates:
-            flagged: Set[str] = set()
-            for point in REF_POINTS:
-                totals, _warnings = static_phase_flops(
-                    self.table, mod, cls, point)
-                if not any(totals.values()):
-                    break  # a charging executor this is not
-                for phase, cost_name, arg_names, scale, anchor \
-                        in COST_STEPS:
-                    if phase in flagged:
-                        continue
-                    cost_fn = cost_fns.get(cost_name)
-                    charged = totals.get(phase)
-                    if cost_fn is None or charged is None:
-                        continue
-                    expected = eval_cost_flops(
-                        self.table, cost_fn,
-                        {name: point[name] for name in arg_names})
-                    if expected is None or expected <= 0:
-                        continue
-                    expected *= scale
-                    drift = abs(charged - expected) / expected
-                    if drift <= DRIFT_TOLERANCE:
-                        continue
-                    flagged.add(phase)
-                    anchor_fn = self.table.resolve_method(mod, cls, anchor)
-                    if anchor_fn is not None:
-                        anchor_mod, anchor_node = anchor_fn.owner, \
-                            anchor_fn.node
-                    else:
-                        # ClassInfo carries a lineno, which is all
-                        # emit() needs of an anchor.
-                        anchor_mod, anchor_node = mod, cls
-                    dims = ", ".join(f"{d}={point[d]}" for d in arg_names)
-                    self.emit(
-                        RULE_DRIFT, anchor_mod, anchor_node,
-                        f"phase '{phase}' of {cls.name} charges "
-                        f"{charged:.4g} flops at {dims} but the "
-                        f"Figure 5 closed form {cost_name} gives "
-                        f"{expected:.4g}"
-                        + (f" (x{scale:g} pass convention)"
-                           if scale != 1.0 else "")
-                        + f": {drift:.0%} drift beyond leading order",
-                        f"{cls.name}.{anchor}")

@@ -138,6 +138,13 @@ class SamplingConfig:
         """Total sampling dimension ``l = k + p``."""
         return self.rank + self.oversampling
 
+    def sample_size_for(self, n: int) -> int:
+        """The ``l`` a run on an input with ``n`` columns uses: ``k + p``
+        clamped to ``n``.  An ``l x n`` sample has rank at most ``n``,
+        so extra rows add nothing, and the power iteration's short-wide
+        orthogonalization needs ``l <= n``."""
+        return min(self.sample_size, n)
+
     def with_rank(self, rank: int) -> "SamplingConfig":
         """Return a copy of this config with a different target rank."""
         return replace(self, rank=rank)

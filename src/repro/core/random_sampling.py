@@ -125,7 +125,7 @@ def random_sampling(a: ArrayLike, config: SamplingConfig,
     ex.bind(a)
     _apply_tuning(ex, config, m, n)
 
-    l = config.sample_size
+    l = config.sample_size_for(n)
     k = config.rank
     if k > l:
         raise ShapeError(f"rank {k} exceeds sample size {l}")

@@ -164,11 +164,12 @@ class DecompRequest:
 
     @property
     def sample_size(self) -> int:
-        """Total sampling dimension ``l = k + p`` (fixed-rank only)."""
+        """Sampling dimension ``l`` of a fixed-rank run: ``k + p``
+        clamped to ``n``, as :func:`repro.core.random_sampling` does."""
         if self.rank is None:
             raise ConfigurationError(
                 f"request {self.request_id} has no rank")
-        return self.rank + self.oversampling
+        return self.sampling_config().sample_size_for(self.matrix.n)
 
     @property
     def batch_key(self) -> Optional[Tuple]:

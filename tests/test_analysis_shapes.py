@@ -1,14 +1,16 @@
-"""Tests for the symbolic shape & cost-consistency rules (RS121-RS125)
-and their supporting machinery: the shape lattice seeded by ``@shaped``
-declarations, Σl propagation through stacked batches, the RS124 cost
-interpreter, the incremental cache, SARIF export, and the three-way
-``--audit-costs`` audit.
+"""Tests for the symbolic shape & charge-consistency rules
+(RS121-RS123, RS125) and their supporting machinery: the shape lattice
+seeded by ``@shaped`` declarations, Σl propagation through stacked
+batches, the incremental cache, SARIF export, and the runtime
+``--audit-costs`` check of charged FLOPs against the Figure 5 closed
+forms.
 
 Each rule gets at least one true-positive and one clean fixture, and —
 the load-bearing part — each rule is mutation-tested against the real
 tree: a single seeded defect (swapped charge dims, a dropped ``writes=``
-entry, a conditionally-skipped charge, a halved charge coefficient)
-must flip the shipped tree from clean to exactly one finding.
+entry, a conditionally-skipped charge) must flip the shipped tree from
+clean to exactly one finding.  The cost audit is mutation-tested the
+same way, by patching a charge hook or a closed form.
 """
 
 import json
@@ -26,7 +28,7 @@ from repro.errors import ConfigurationError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-SHAPE_RULES = ["RS121", "RS122", "RS123", "RS124", "RS125"]
+SHAPE_RULES = ["RS121", "RS122", "RS123", "RS125"]
 
 
 def write_project(tmp_path, files):
@@ -368,65 +370,6 @@ class TestRS123:
 
 
 # ---------------------------------------------------------------------------
-# RS124: asymptotic drift of the charged model vs the closed forms
-# ---------------------------------------------------------------------------
-
-_MINI_COSTS = ("def gaussian_sampling_cost(m, n, l):\n"
-               "    flops = 2.0 * m * n * l\n"
-               "    return flops\n")
-
-_MINI_EXEC = (
-    "class MiniExec:\n"
-    "    def charge(self, phase, seconds=0.0, flops=0.0):\n"
-    "        pass\n"
-    "    def _t_gemm(self, r, c, k, phase='other'):\n"
-    "        self.charge(phase, flops=2.0 * r * c * k)\n"
-    "    def sample_gemm(self, omega, a):\n"
-    "        l, m = shape_of(omega)\n"
-    "        m2, n = shape_of(a)\n"
-    "        self._t_gemm(l, n, m, phase='sampling')\n")
-
-
-class TestRS124:
-    def test_matching_model_is_clean(self, tmp_path):
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": _MINI_COSTS,
-            "gpu/mini.py": _MINI_EXEC}, select=["RS124"])
-        assert findings == []
-
-    def test_halved_charge_drifts(self, tmp_path):
-        mutated = _MINI_EXEC.replace("self._t_gemm(l, n, m",
-                                     "self._t_gemm(l, n // 2, m")
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": _MINI_COSTS,
-            "gpu/mini.py": mutated}, select=["RS124"])
-        assert rules_of(findings) == ["RS124"]
-        assert "sampling" in findings[0].message
-        assert "gaussian_sampling_cost" in findings[0].message
-
-    def test_wrong_closed_form_drifts(self, tmp_path):
-        # Drift is symmetric: a wrong coefficient in costs.py is the
-        # same finding as a wrong charge in the executor.
-        bad_costs = _MINI_COSTS.replace("2.0 * m * n * l",
-                                        "4.0 * m * n * l")
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": bad_costs,
-            "gpu/mini.py": _MINI_EXEC}, select=["RS124"])
-        assert rules_of(findings) == ["RS124"]
-
-    def test_non_charging_executor_is_skipped(self, tmp_path):
-        # A host-reference executor whose hooks are no-ops has zero
-        # totals everywhere: that is not drift, it is abstention.
-        noop = _MINI_EXEC.replace(
-            "        self.charge(phase, flops=2.0 * r * c * k)\n",
-            "        pass\n")
-        findings = run_rules(tmp_path, {
-            "perfmodel/costs.py": _MINI_COSTS,
-            "gpu/mini.py": noop}, select=["RS124"])
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # RS125: async hygiene in the serving layer
 # ---------------------------------------------------------------------------
 
@@ -556,20 +499,6 @@ class TestShapeMutationsRealTree:
         assert rules_of(findings) == ["RS123"], \
             [f.render() for f in findings]
 
-    def test_mischarged_coefficient_caught_by_rs124(self, tmp_path):
-        dest = self._copy_tree(tmp_path)
-        self._mutate(
-            dest, "gpu/device.py",
-            '        self._t_gemm(l, n, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n",
-            '        self._t_gemm(l, n // 2, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n")
-        findings = analyze_paths([dest], root=tmp_path / "src",
-                                 select=["RS124"])
-        assert rules_of(findings) == ["RS124"], \
-            [f.render() for f in findings]
-        assert "sampling" in findings[0].message
-
 
 # ---------------------------------------------------------------------------
 # Incremental cache: warm runs replay shape findings with zero parses
@@ -632,41 +561,59 @@ class TestShapeSarif:
 
 
 # ---------------------------------------------------------------------------
-# --audit-costs: static totals vs an instrumented run vs closed forms
+# --audit-costs: charged flops of a symbolic run vs the closed forms
 # ---------------------------------------------------------------------------
+
+def _drifted(out):
+    """Phases the audit table marks as drifted, one entry per point."""
+    return [line.split()[0] for line in out.splitlines()
+            if line.endswith("<-- DRIFT")]
+
 
 class TestAuditCosts:
     def test_shipped_tree_passes_the_audit(self, capsys):
-        from repro.analysis.audit import audit_costs
-        code = audit_costs([REPO_ROOT / "src" / "repro"])
+        from repro.analysis.audit import AUDIT_POINT, REF_POINTS, audit_costs
+        code = audit_costs()
         out = capsys.readouterr().out
         assert code == EXIT_CLEAN, out
+        for point in (AUDIT_POINT,) + REF_POINTS:
+            assert f"m={point['m']} n={point['n']}" in out
         for phase in ("sampling", "gemm_iter", "orth_iter", "qrcp", "qr"):
-            assert phase in out
+            assert out.count(f"\n{phase} ") == 1 + len(REF_POINTS)
 
-    def test_audit_detects_a_mischarge(self, tmp_path, capsys):
-        # The static column reads the (mutated) tree on disk while the
-        # runtime column runs the installed code: a seeded mischarge
-        # shows up as static-vs-runtime drift.
+    def test_audit_detects_a_mischarge(self, capsys, monkeypatch):
+        # Halving n in the sampling charge is a wrong leading term the
+        # closed form does not share.
         from repro.analysis.audit import audit_costs
-        dest = tmp_path / "src" / "repro"
-        shutil.copytree(REPO_ROOT / "src" / "repro", dest)
-        target = dest / "gpu" / "device.py"
-        src = target.read_text(encoding="utf-8")
-        mutated = src.replace(
-            '        self._t_gemm(l, n, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n",
-            '        self._t_gemm(l, n // 2, m, phase="sampling")\n'
-            "        return _mm(omega, a, self.backend)\n")
-        assert mutated != src
-        target.write_text(mutated, encoding="utf-8")
-        code = audit_costs([dest])
+        from repro.gpu.device import GPUExecutor
+        charge = GPUExecutor._t_gemm
+
+        def halved(self, m, n, k, phase):
+            if phase == "sampling":
+                n //= 2
+            charge(self, m, n, k, phase)
+
+        monkeypatch.setattr(GPUExecutor, "_t_gemm", halved)
+        code = audit_costs()
         out = capsys.readouterr().out
         assert code == EXIT_FINDINGS, out
-        assert "DRIFT" in out
+        assert _drifted(out) == ["sampling"] * 3
 
-    def test_cli_flag_is_wired(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
+    def test_wrong_closed_form_drifts(self, capsys, monkeypatch):
+        # Drift is symmetric: a wrong coefficient in costs.py is the
+        # same failure as a wrong charge in the executor.
+        from repro.analysis.audit import audit_costs
+        from repro.perfmodel import costs
+        closed = costs.gaussian_sampling_cost
+
+        monkeypatch.setattr(costs, "gaussian_sampling_cost",
+                            lambda m, n, l: 2.0 * closed(m, n, l))
+        code = audit_costs()
+        out = capsys.readouterr().out
+        assert code == EXIT_FINDINGS, out
+        assert _drifted(out) == ["sampling"] * 3
+
+    def test_cli_flag_is_wired(self, capsys):
         code = analyze_main(["src/repro", "--audit-costs"])
         assert code == EXIT_CLEAN
         assert "audit-costs" in capsys.readouterr().out

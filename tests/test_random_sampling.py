@@ -96,6 +96,27 @@ class TestAccuracyVsOptimum:
         assert eg < 10 * ef
 
 
+class TestSampleSizeAboveN:
+    """``l = k + p > n`` clamps the sample to ``n`` rows, so the power
+    iteration's short-wide orthogonalization still applies."""
+
+    @pytest.mark.parametrize("q,factor", [(0, 30.0), (1, 6.0), (3, 6.0)])
+    def test_error_within_factor_of_sigma_k1(self, q, factor):
+        a = exponent_matrix(60, 50, seed=3)
+        cfg = SamplingConfig(rank=45, oversampling=10, power_iterations=q,
+                             seed=1)
+        f = random_sampling(a, cfg)
+        assert f.sample_size == 50
+        assert f.residual(a) < factor * best_rank_k_error(a, 45)
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_full_rank_input_is_recovered(self, rng, q):
+        a = rng.standard_normal((60, 50))
+        cfg = SamplingConfig(rank=50, oversampling=10, power_iterations=q,
+                             seed=1)
+        assert random_sampling(a, cfg).residual(a) < 1e-10
+
+
 class TestDeterminism:
     def test_same_seed_same_factors(self, decaying_matrix):
         cfg = SamplingConfig(rank=20, seed=11)

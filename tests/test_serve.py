@@ -197,6 +197,23 @@ class TestBitParity:
             assert art.batch == {"batch_id": plan.batch_id, "size": 5,
                                  "coalesced": True}
 
+    def test_sample_size_above_n_matches_solo(self):
+        # l = 90 + 10 > n = 96: the batcher draws the clamped Omega a
+        # solo run draws.
+        reqs = [req(rank=90, oversampling=10, power_iterations=1, seed=1),
+                req(rank=12, power_iterations=1, seed=2)]
+        plan = plan_batches(reqs)[0]
+        assert plan.coalesced
+        results = run_jobs(plan)
+        a = REF.materialize()
+        for r in reqs:
+            art = results[r.request_id]
+            assert isinstance(art, ResultArtifact), art
+            solo = random_sampling(a, r.sampling_config())
+            assert np.array_equal(art.payload.q, solo.q)
+            assert np.array_equal(art.payload.r, solo.r)
+        assert reqs[0].sample_size == 96
+
     def test_service_batched_matches_solo(self):
         async def drive():
             cfg = ServeConfig(batch_window_s=0.05, max_batch=8)
