@@ -10,11 +10,15 @@ the load-bearing part — each rule is mutation-tested against the real
 tree: a single seeded defect (swapped charge dims, a dropped ``writes=``
 entry, a conditionally-skipped charge) must flip the shipped tree from
 clean to exactly one finding.  The cost audit is mutation-tested the
-same way, by patching a charge hook or a closed form.
+same way: a mischarge seeded in a copy of the real tree, and a patched
+charge hook or closed form.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -370,6 +374,53 @@ class TestRS123:
 
 
 # ---------------------------------------------------------------------------
+# RS124's slot: drift of the charged model vs the closed forms, checked on
+# a symbolic run of the real executor by the --audit-costs audit
+# ---------------------------------------------------------------------------
+
+def _drifted(out):
+    """Phases the audit table marks as drifted, one entry per point."""
+    return [line.split()[0] for line in out.splitlines()
+            if line.endswith("<-- DRIFT")]
+
+
+class TestRS124:
+    def test_matching_model_is_clean(self):
+        # Every audited phase is actually charged, and within tolerance
+        # of its scaled closed form, at every audited point.
+        from repro.analysis.audit import (
+            AUDIT_POINT, COST_STEPS, DRIFT_TOLERANCE, REF_POINTS,
+            _closed_flops, _drift, _runtime_phase_flops)
+        for point in (AUDIT_POINT,) + REF_POINTS:
+            dims = dict(point, l=point["k"] + point["p"])
+            runtime = _runtime_phase_flops(point)
+            for phase, cost_name, arg_names, scale in COST_STEPS:
+                closed = scale * _closed_flops(
+                    cost_name, {a: dims[a] for a in arg_names})
+                assert runtime.get(phase, 0.0) > 0.0, (phase, point)
+                assert _drift(runtime[phase], closed) <= DRIFT_TOLERANCE, \
+                    (phase, point, runtime[phase], closed)
+
+    def test_halved_charge_drifts(self, capsys, monkeypatch):
+        # A halved iteration-GEMM charge drifts in that phase alone: the
+        # audit attributes drift per phase, not to the run as a whole.
+        from repro.analysis.audit import audit_costs
+        from repro.gpu.device import GPUExecutor
+        charge = GPUExecutor._t_gemm
+
+        def halved(self, m, n, k, phase):
+            if phase == "gemm_iter":
+                n //= 2
+            charge(self, m, n, k, phase)
+
+        monkeypatch.setattr(GPUExecutor, "_t_gemm", halved)
+        code = audit_costs()
+        out = capsys.readouterr().out
+        assert code == EXIT_FINDINGS, out
+        assert _drifted(out) == ["gemm_iter"] * 3
+
+
+# ---------------------------------------------------------------------------
 # RS125: async hygiene in the serving layer
 # ---------------------------------------------------------------------------
 
@@ -499,6 +550,31 @@ class TestShapeMutationsRealTree:
         assert rules_of(findings) == ["RS123"], \
             [f.render() for f in findings]
 
+    def test_mischarged_coefficient_caught_by_rs124(self, tmp_path):
+        # The audit imports the package it checks, so the mutated copy
+        # is audited in a fresh interpreter with only that copy on the
+        # path.
+        dest = self._copy_tree(tmp_path)
+        self._mutate(
+            dest, "gpu/device.py",
+            '        self._t_gemm(l, n, m, phase="sampling")\n'
+            "        return _mm(omega, a, self.backend)\n",
+            '        self._t_gemm(l, n // 2, m, phase="sampling")\n'
+            "        return _mm(omega, a, self.backend)\n")
+        env = dict(os.environ, PYTHONPATH=str(dest.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "import repro.analysis.audit as audit\n"
+             "print(audit.__file__)\n"
+             "sys.exit(audit.audit_costs())\n"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        out = proc.stdout
+        assert out.splitlines()[0].startswith(str(dest)), out
+        assert proc.returncode == EXIT_FINDINGS, out + proc.stderr
+        assert _drifted(out) == ["sampling"] * 3
+
 
 # ---------------------------------------------------------------------------
 # Incremental cache: warm runs replay shape findings with zero parses
@@ -563,12 +639,6 @@ class TestShapeSarif:
 # ---------------------------------------------------------------------------
 # --audit-costs: charged flops of a symbolic run vs the closed forms
 # ---------------------------------------------------------------------------
-
-def _drifted(out):
-    """Phases the audit table marks as drifted, one entry per point."""
-    return [line.split()[0] for line in out.splitlines()
-            if line.endswith("<-- DRIFT")]
-
 
 class TestAuditCosts:
     def test_shipped_tree_passes_the_audit(self, capsys):
