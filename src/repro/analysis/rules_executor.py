@@ -98,7 +98,8 @@ class UnknownPhaseChecker(BaseChecker):
     """RS102: phase tags must come from the paper's phase legend.
 
     Any string literal passed as a ``phase=`` keyword, as the first
-    argument of a ``.charge(...)`` call, or as the default of a
+    argument of a ``.charge(...)`` or ledger ``.book(...)`` call, or as
+    the default of a
     ``phase`` parameter must be a member of
     :data:`repro.gpu.trace.PHASES`.  A typo here would silently
     misattribute kernel time across the Figure 11-15 stacked bars.
@@ -122,9 +123,9 @@ class UnknownPhaseChecker(BaseChecker):
             if kw.arg == "phase":
                 self._check_literal(kw.value, "passed as phase=")
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "charge":
-            if node.args:
-                self._check_literal(node.args[0], "passed to charge()")
+        if (isinstance(func, ast.Attribute)
+                and func.attr in ("charge", "book") and node.args):
+            self._check_literal(node.args[0], f"passed to {func.attr}()")
         self.generic_visit(node)
 
     def handle_function(self, node) -> None:

@@ -99,7 +99,7 @@ class StreamChargeChecker(BaseChecker):
     multi-GPU executor.
 
     Flags any attribute call ending in ``.charge`` (``device.charge``,
-    ``self.device.charge``, ``dev.timeline.charge``, ...) inside
+    ``self.device.charge``, ...) or in the ledger's ``.book`` inside
     ``repro/gpu/multigpu.py``.  Time must flow through
     ``self.streams.submit``/``submit_group`` so the scheduler's
     frontier — and therefore ``seconds`` — sees it.
@@ -116,8 +116,8 @@ class StreamChargeChecker(BaseChecker):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "charge":
-            self.emit(node, "direct .charge() bypasses the stream "
+        if isinstance(func, ast.Attribute) and func.attr in ("charge", "book"):
+            self.emit(node, f"direct .{func.attr}() bypasses the stream "
                             "scheduler; submit via self.streams so the "
                             "critical-path clock sees this work")
         self.generic_visit(node)

@@ -37,8 +37,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import CholeskyBreakdownError
-
 __all__ = ["BackendStats", "ComputeBackend"]
 
 
@@ -244,8 +242,3 @@ class ComputeBackend(abc.ABC):
     # -- misc ------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
-
-
-def _map_cholesky_breakdown(exc: Exception) -> CholeskyBreakdownError:
-    """Uniform breakdown mapping helper for backend implementations."""
-    return CholeskyBreakdownError(str(exc))

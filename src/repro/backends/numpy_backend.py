@@ -34,6 +34,13 @@ class NumpyBackend(ComputeBackend):
             return hostmath.cholesky_upper(g)
         except hostmath.LinAlgError as exc:
             raise CholeskyBreakdownError(str(exc)) from exc
+        except ValueError as exc:
+            # scipy rejects a non-finite input with a ValueError; an
+            # overflowed Gram matrix is a breakdown, not a caller error.
+            if np.isfinite(g).all():
+                raise
+            raise CholeskyBreakdownError(
+                "Gram matrix is not finite") from exc
 
     def _solve_triangular(self, r, b, lower: bool, trans: str
                           ) -> np.ndarray:

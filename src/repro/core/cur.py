@@ -83,11 +83,11 @@ def _core_factor(c: np.ndarray, a_np: np.ndarray,
     return u_t.T
 
 
-def _select_pivots(ex: NumpyExecutor, a: ArrayLike,
+def _select_pivots(ex: NumpyExecutor, a: ArrayLike, l: int,
                    config: SamplingConfig) -> np.ndarray:
-    """Steps 1-2 of Figure 2b: the first ``k`` QRCP pivots of the
-    sampled matrix."""
-    b = sample(ex, a, config.sample_size, kind=config.sampler)
+    """Steps 1-2 of Figure 2b: the first ``k`` QRCP pivots of an
+    ``l``-row sample of ``a``."""
+    b = sample(ex, a, l, kind=config.sampler)
     b, _ = power_iterate(ex, a, b, q=config.power_iterations,
                          scheme=config.orth,
                          reorthogonalize=config.reorthogonalize)
@@ -128,10 +128,13 @@ def cur_decomposition(a: ArrayLike, config: SamplingConfig,
         seed=config.seed, backend=config.backend)
     ex.bind(a)
 
-    cols = _select_pivots(ex, a, config)
+    # Both passes need l <= their input's rows and columns, so l is
+    # clamped to min(m, n) (l <= m is validated above).
+    l = config.sample_size_for(min(m, n))
+    cols = _select_pivots(ex, a, l, config)
     # Row selection: the same algorithm on A^T (its "columns" are rows
     # of A).  The transpose view never copies for a NumPy input.
-    rows = _select_pivots(ex, np.asarray(a).T, config)
+    rows = _select_pivots(ex, np.asarray(a).T, l, config)
 
     a_np = np.asarray(a)
     c = a_np[:, cols]

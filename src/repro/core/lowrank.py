@@ -17,7 +17,6 @@ from ..analysis.annotations import allow_untimed_math
 from ..backends import hostmath
 from ..errors import ShapeError, SymbolicExecutionError
 from ..gpu.device import ArrayLike, is_symbolic
-from ..gpu.trace import TimeLine
 
 __all__ = ["LowRankFactors", "spectral_error", "best_rank_k_error"]
 

@@ -164,5 +164,5 @@ def random_sampling(a: ArrayLike, config: SamplingConfig,
         sample_size=l,
         power_iterations=config.power_iterations,
         seconds=ex.seconds,
-        breakdown=dict(ex.timeline.breakdown()),
+        breakdown=ex.breakdown(),
     )

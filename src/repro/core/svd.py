@@ -106,7 +106,7 @@ def randomized_svd(a: ArrayLike, config: SamplingConfig,
     ex = executor if executor is not None else NumpyExecutor(
         seed=config.seed, backend=config.backend)
     ex.bind(a)
-    l, k = config.sample_size, config.rank
+    l, k = config.sample_size_for(n), config.rank
 
     # Stage A: sampled row-space basis.
     b = sample(ex, a, l, kind=config.sampler)

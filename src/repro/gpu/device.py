@@ -25,7 +25,7 @@ backend; see ``docs/backends.md``.
 from __future__ import annotations
 
 from math import sqrt
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ..qr.utils import solve_upper_triangular
 from .kernels import KernelModel, gemm_flops, qp3_flops, qr_flops
 from .memory import DeviceMemory, TransferModel
 from .specs import GPUSpec, KEPLER_K40C
-from .trace import PHASES, TimeLine
+from .trace import PHASES
 
 __all__ = ["SymArray", "shape_of", "is_symbolic", "SimulatedGPU",
            "NumpyExecutor", "GPUExecutor"]
@@ -162,12 +162,23 @@ def _words_bytes(flops: float, *operand_elems: int) -> float:
 
 
 class SimulatedGPU:
-    """One simulated device: kernel model + timeline + memory.
+    """One simulated device: kernel model + phase ledger + memory.
+
+    The device is the ledger of modeled time: :meth:`book` validates
+    each charge and adds it to a per-phase seconds dict in
+    :data:`repro.gpu.trace.PHASES` order, which :attr:`elapsed` and
+    :meth:`breakdown` read.  A multi-GPU stream scheduler books its
+    accounted submissions on the master device through the same
+    method.
 
     A :class:`repro.obs.spans.SpanRecorder` attached via
     :meth:`attach_recorder` receives every :meth:`charge` as a kernel
     span carrying the FLOP/bytes estimates and the memory high-water
-    mark sampled at charge time.
+    mark sampled at charge time.  The ledger is kept apart from the
+    recorder's counters on purpose: ``repro.serve`` shares one recorder
+    across every request's executor, and a coalesced rider's breakdown
+    is not the sum of its run span, so an executor's totals must never
+    be derived from a (possibly shared) recorder.
     """
 
     def __init__(self, spec: GPUSpec = KEPLER_K40C, device_id: int = 0):
@@ -175,7 +186,7 @@ class SimulatedGPU:
         self.spec = spec
         self.device_id = device_id
         self.kernels = KernelModel(spec)
-        self.timeline = TimeLine()
+        self._seconds: Dict[str, float] = {p: 0.0 for p in PHASES}
         self.memory = DeviceMemory(spec.memory_bytes)
         self.transfers = TransferModel(spec.pcie_bw_gbs, spec.pcie_latency_s)
         self.recorder = None  # Optional[repro.obs.spans.SpanRecorder]
@@ -183,23 +194,32 @@ class SimulatedGPU:
     @property
     def elapsed(self) -> float:
         """Total modeled seconds on this device."""
-        return self.timeline.total
+        return sum(self._seconds.values())
+
+    def breakdown(self) -> Dict[str, float]:
+        """Phase -> modeled seconds, in the paper's legend order."""
+        return dict(self._seconds)
 
     def attach_recorder(self, recorder) -> None:
         """Mirror every subsequent charge into ``recorder`` (pass
         ``None`` to detach)."""
         self.recorder = recorder
 
-    def charge(self, phase: str, seconds: float, label: str = "",
-               flops: float = 0.0, bytes_moved: float = 0.0,
-               labels: Sequence[str] = ()) -> None:
-        # Validate eagerly at the device layer: span attribution and
-        # the timeline must never disagree on where time landed.
-        if phase not in PHASES:
+    def book(self, phase: str, seconds: float) -> None:
+        """Add ``seconds`` of modeled time to ``phase`` on the ledger."""
+        if phase not in self._seconds:
             raise ConfigurationError(
                 f"unknown phase {phase!r} charged to device "
                 f"{self.device_id}; expected one of {PHASES}")
-        self.timeline.charge(phase, seconds, label)
+        if seconds < 0:
+            raise ConfigurationError(f"negative time charged: {seconds}")
+        self._seconds[phase] += seconds
+
+    def charge(self, phase: str, seconds: float, label: str = "",
+               flops: float = 0.0, bytes_moved: float = 0.0,
+               labels: Sequence[str] = ()) -> None:
+        """Book one kernel and pass it once to the attached recorder."""
+        self.book(phase, seconds)
         if self.recorder is not None:
             self.recorder.record_kernel(
                 phase=phase, label=label or phase, seconds=seconds,
@@ -209,8 +229,9 @@ class SimulatedGPU:
                 labels=labels)
 
     def reset(self) -> None:
-        """Fresh timeline and memory for a new run."""
-        self.timeline = TimeLine()
+        """Zero the ledger (in place) and the memory for a new run."""
+        for phase in self._seconds:
+            self._seconds[phase] = 0.0
         self.memory.reset()
 
 
@@ -240,9 +261,9 @@ class NumpyExecutor:
         """Modeled elapsed seconds (0 for the pure-NumPy executor)."""
         return 0.0
 
-    @property
-    def timeline(self) -> TimeLine:
-        return TimeLine()
+    def breakdown(self) -> Dict[str, float]:
+        """Phase -> modeled seconds (all 0.0 here), in legend order."""
+        return {p: 0.0 for p in PHASES}
 
     def reset_clock(self) -> None:
         """Forget accumulated modeled time (no-op here)."""
@@ -640,9 +661,8 @@ class GPUExecutor(NumpyExecutor):
     def seconds(self) -> float:
         return self.device.elapsed
 
-    @property
-    def timeline(self) -> TimeLine:
-        return self.device.timeline
+    def breakdown(self) -> Dict[str, float]:
+        return self.device.breakdown()
 
     def reset_clock(self) -> None:
         self.device.reset()

@@ -31,8 +31,9 @@ differs — reproducing the 1.6 % / 4.3 % communication fractions and
 the superlinear GEMM scaling of Figure 15 (the local panels get
 shorter, so the per-device GEMM rate rises).
 
-All charging goes through the stream API; ``device.charge`` must not
-be called directly here (analyzer rule RS108), and every submission
+All charging goes through the stream API, which books each submission
+once on device 0's ledger; ``device.charge`` and ``device.book`` must
+not be called directly here (analyzer rule RS108), and every submission
 declares the logical buffers it touches via ``reads=``/``writes=``
 (analyzer rule RS111) so the happens-before race sanitizer
 (:mod:`repro.analysis.races`) can verify the event DAG orders every
@@ -125,10 +126,10 @@ class MultiGPUExecutor(GPUExecutor):
         # Device 0 doubles as the master clock target via `self.device`.
         self.device = self.devices[0]
         self.kernels = self.device.kernels
-        # All charges go through the scheduler onto device 0's master
-        # timeline; `seconds` reads the scheduler's critical path.
+        # All charges go through the scheduler onto device 0's ledger;
+        # `seconds` reads the scheduler's critical path.
         self.streams = StreamScheduler(ng=ng, overlap=self.overlap,
-                                       timeline=self.device.timeline)
+                                       device=self.device)
         self.streams.memory_probe = self._memory_high_water
         if os.environ.get("REPRO_RACE_CHECK", "") not in ("", "0", "false"):
             from ..analysis.races import RaceChecker
@@ -182,7 +183,7 @@ class MultiGPUExecutor(GPUExecutor):
     def reset_clock(self) -> None:
         for dev in self.devices:
             dev.reset()
-        self.streams.reset(timeline=self.device.timeline)
+        self.streams.reset()
 
     def local_rows(self, m: int) -> int:
         """Rows of the largest local block ``A_(i)``."""

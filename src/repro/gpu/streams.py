@@ -19,14 +19,14 @@ exactly that for the simulated devices of
   global frontier, which degenerates the schedule to the old serial
   sum.
 
-Accounting is unchanged from the serial model: each submission charges
-its modeled seconds to the master :class:`repro.gpu.trace.TimeLine`
-exactly once, so the per-phase breakdown is identical under
-``overlap=on`` and ``overlap=off``; only :attr:`StreamScheduler.elapsed`
-(the DAG's critical path) differs.  Symmetric per-device work can be
-mirrored onto the other devices' streams as *unaccounted* spans so the
-Chrome-trace export shows every device's occupancy without double
-counting.
+Accounting is unchanged from the serial model: each submission books
+its modeled seconds on the master device's ledger
+(:meth:`repro.gpu.device.SimulatedGPU.book`) exactly once, so the
+per-phase breakdown is identical under ``overlap=on`` and
+``overlap=off``; only :attr:`StreamScheduler.elapsed` (the DAG's
+critical path) differs.  Symmetric per-device work can be mirrored onto
+the other devices' streams as *unaccounted* spans so the Chrome-trace
+export shows every device's occupancy without double counting.
 
 The scheduler operates purely on the *modeled* clock: placements are
 derived from shapes and the kernel rate models, never from which
@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from .trace import PHASES, TimeLine
+from .device import SimulatedGPU
 
 __all__ = ["HOST", "DEVICE_STREAMS", "HOST_STREAMS", "StreamEvent",
            "StreamScheduler"]
@@ -87,17 +87,21 @@ class StreamScheduler:
     ``overlap=False`` serializes every submission after the current
     frontier, making :attr:`elapsed` equal the plain sum of charged
     seconds — the pre-stream serial model, bit for bit.
+
+    ``device`` is the master device whose ledger every accounted
+    submission is booked on (a fresh :class:`SimulatedGPU` when
+    omitted).
     """
 
     def __init__(self, ng: int, overlap: bool = True,
-                 timeline: Optional[TimeLine] = None):
+                 device: Optional[SimulatedGPU] = None):
         if ng < 1:
             raise ConfigurationError(f"ng must be >= 1, got {ng}")
         self.ng = ng
         self.overlap = bool(overlap)
-        #: Master timeline: every accounted submission charges here
-        #: once, so phase sums match the serial model exactly.
-        self.timeline = timeline if timeline is not None else TimeLine()
+        #: Master device: every accounted submission is booked on its
+        #: ledger once, so phase sums match the serial model exactly.
+        self.device = device if device is not None else SimulatedGPU()
         self.recorder = None  # Optional[repro.obs.spans.SpanRecorder]
         #: Optional ``device_id -> memory high-water`` probe used to
         #: decorate recorded spans (set by the executor).
@@ -140,7 +144,7 @@ class StreamScheduler:
                stream: str = "compute",
                deps: Sequence[StreamEvent] = (),
                resources: Sequence[ResourceKey] = (),
-               after_all: bool = False, account: bool = True,
+               after_all: bool = False,
                label: str = "", flops: float = 0.0,
                bytes_moved: float = 0.0,
                reads: Sequence[str] = (),
@@ -151,9 +155,7 @@ class StreamScheduler:
         occupies (a PCIe copy holds both the device's copy engine and
         the shared host ``pcie`` lane).  ``deps`` are events that must
         complete first; ``after_all=True`` additionally waits for
-        everything in flight (a value-dependent join).  ``account=False``
-        records the span for the trace without charging the timeline —
-        the mirror half of symmetric multi-device work.
+        everything in flight (a value-dependent join).
 
         ``reads=``/``writes=`` name the logical buffers the work
         touches (e.g. ``"B_chunk[0]"``, ``"R_bar"``) for the attached
@@ -165,10 +167,9 @@ class StreamScheduler:
         clock = self._race_check(phase, label, keys, deps, after_all,
                                  reads, writes)
         return self._place(phase, seconds, keys, start,
-                           record_on=[(device, stream, account)],
+                           record_on=[(device, stream, True)],
                            label=label, flops=flops,
-                           bytes_moved=bytes_moved, account=account,
-                           clock=clock)
+                           bytes_moved=bytes_moved, clock=clock)
 
     def submit_group(self, phase: str, seconds: float, *,
                      placements: Sequence[ResourceKey],
@@ -200,8 +201,7 @@ class StreamScheduler:
                      for i, (d, s) in enumerate(placements[:len(keys)])]
         return self._place(phase, seconds, keys, start,
                            record_on=record_on, label=label, flops=flops,
-                           bytes_moved=bytes_moved, account=True,
-                           clock=clock)
+                           bytes_moved=bytes_moved, clock=clock)
 
     def barrier(self) -> StreamEvent:
         """Event completing when everything submitted so far has."""
@@ -260,21 +260,14 @@ class StreamScheduler:
     def _place(self, phase: str, seconds: float, keys: List[ResourceKey],
                start: float, record_on: List[Tuple[int, str, bool]],
                label: str, flops: float, bytes_moved: float,
-               account: bool, clock: Optional[Dict] = None) -> StreamEvent:
-        if phase not in PHASES:
-            raise ConfigurationError(
-                f"unknown phase {phase!r} submitted to the stream "
-                f"scheduler; expected one of {PHASES}")
-        if seconds < 0:
-            raise ConfigurationError(f"negative submission: {seconds}")
+               clock: Optional[Dict] = None) -> StreamEvent:
+        self.device.book(phase, seconds)
         end = start + seconds
         for k in keys:
             self._ready[k] = end
             self._busy[k] = self._busy.get(k, 0.0) + seconds
         self._frontier = max(self._frontier, end)
         self._submissions += 1
-        if account:
-            self.timeline.charge(phase, seconds, label)
         if self.recorder is not None:
             for device, stream, accounted in record_on:
                 hw = (self.memory_probe(device)
@@ -345,11 +338,10 @@ class StreamScheduler:
             raise ConfigurationError(
                 f"malformed scheduler state: {exc}") from None
 
-    def reset(self, timeline: Optional[TimeLine] = None) -> None:
-        """Fresh clock (and optionally a fresh master timeline)."""
+    def reset(self) -> None:
+        """Fresh clock (the master device's ledger is reset with the
+        device)."""
         self._ready.clear()
         self._busy.clear()
         self._frontier = 0.0
         self._submissions = 0
-        if timeline is not None:
-            self.timeline = timeline

@@ -1,18 +1,15 @@
-"""Phase-tagged timing traces.
+"""The paper's phase legend.
 
 Figures 11-15 and 17 break the random-sampling run time into the same
-seven phases; :class:`TimeLine` accumulates modeled kernel times under
-those tags so the benches can print the paper's stacked bars directly.
+phases; every modeled charge is tagged with one of them, and the
+per-phase totals live on :class:`repro.gpu.device.SimulatedGPU`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Tuple
 
-from ..errors import ConfigurationError
-
-__all__ = ["Phase", "PHASES", "TimeLine"]
+__all__ = ["PHASES"]
 
 #: The paper's phase legend (Figures 11-15).
 PHASES: Tuple[str, ...] = (
@@ -25,127 +22,3 @@ PHASES: Tuple[str, ...] = (
     "comms",       # inter-GPU / host-device communication
     "other",       # triangular solves/multiplies forming R, misc.
 )
-
-
-@dataclass
-class Phase:
-    """One accumulated phase: total seconds and number of kernel calls."""
-
-    seconds: float = 0.0
-    calls: int = 0
-
-    def add(self, seconds: float) -> None:
-        self.seconds += seconds
-        self.calls += 1
-
-
-class TimeLine:
-    """Accumulates modeled kernel times per phase.
-
-    Also keeps an ordered event log ``(phase, label, seconds)`` so a
-    run can be inspected kernel by kernel.
-    """
-
-    def __init__(self) -> None:
-        self._phases: Dict[str, Phase] = {p: Phase() for p in PHASES}
-        self.events: List[Tuple[str, str, float]] = []
-
-    def charge(self, phase: str, seconds: float, label: str = "") -> None:
-        """Add ``seconds`` of modeled time to ``phase``."""
-        if phase not in self._phases:
-            raise ConfigurationError(
-                f"unknown phase {phase!r}; expected one of {PHASES}")
-        if seconds < 0:
-            raise ConfigurationError(f"negative time charged: {seconds}")
-        self._phases[phase].add(seconds)
-        self.events.append((phase, label, seconds))
-
-    def seconds(self, phase: str) -> float:
-        """Accumulated seconds in one phase."""
-        if phase not in self._phases:
-            raise ConfigurationError(
-                f"unknown phase {phase!r}; expected one of {PHASES}")
-        return self._phases[phase].seconds
-
-    def calls(self, phase: str) -> int:
-        """Number of kernel calls charged to one phase."""
-        return self._phases[phase].calls
-
-    @property
-    def total(self) -> float:
-        """Total modeled seconds across all phases."""
-        return sum(p.seconds for p in self._phases.values())
-
-    def breakdown(self) -> Dict[str, float]:
-        """Phase -> seconds map (in the paper's legend order)."""
-        return {name: self._phases[name].seconds for name in PHASES}
-
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase ``{"seconds": ..., "calls": ...}`` for phases that
-        saw at least one kernel (legend order)."""
-        return {name: {"seconds": self._phases[name].seconds,
-                       "calls": self._phases[name].calls}
-                for name in PHASES if self._phases[name].calls > 0}
-
-    def fractions(self) -> Dict[str, float]:
-        """Phase -> fraction of total (0 when the total is zero)."""
-        tot = self.total
-        if tot <= 0:
-            return {name: 0.0 for name in PHASES}
-        return {name: self._phases[name].seconds / tot for name in PHASES}
-
-    def merge_max(self, others: "List[TimeLine]") -> "TimeLine":
-        """Combine per-device timelines assuming perfect overlap
-        *within* each phase across devices (the multi-GPU runtime runs
-        device kernels concurrently): each phase takes the maximum over
-        devices."""
-        out = TimeLine()
-        for name in PHASES:
-            secs = max([self.seconds(name)] + [o.seconds(name) for o in others])
-            if secs > 0:
-                out.charge(name, secs, label="merged")
-        return out
-
-    def __iadd__(self, other: "TimeLine") -> "TimeLine":
-        for name in PHASES:
-            s = other.seconds(name)
-            if s > 0:
-                self._phases[name].seconds += s
-                self._phases[name].calls += other.calls(name)
-        self.events.extend(other.events)
-        return self
-
-    def to_chrome_trace(self, process_name: str = "simulated-gpu",
-                        pid: int = 0) -> List[Dict]:
-        """Convert the event log into Chrome trace-event format.
-
-        Load the JSON-dumped result in ``chrome://tracing`` (or
-        Perfetto) to inspect a modeled run kernel by kernel: one
-        complete ('X') event per kernel, laid out sequentially on a
-        thread per phase.  Timestamps are microseconds of modeled time.
-        """
-        out: List[Dict] = []
-        out.append({"ph": "M", "pid": pid, "name": "process_name",
-                    "args": {"name": process_name}})
-        tids = {name: i for i, name in enumerate(PHASES)}
-        for name, tid in tids.items():
-            out.append({"ph": "M", "pid": pid, "tid": tid,
-                        "name": "thread_name", "args": {"name": name}})
-        clock = 0.0
-        for phase, label, seconds in self.events:
-            out.append({
-                "ph": "X",
-                "pid": pid,
-                "tid": tids[phase],
-                "name": label or phase,
-                "cat": phase,
-                "ts": clock * 1e6,
-                "dur": seconds * 1e6,
-            })
-            clock += seconds
-        return out
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{k}={v:.4f}s" for k, v in self.breakdown().items()
-                          if v > 0)
-        return f"TimeLine({parts}, total={self.total:.4f}s)"

@@ -2,12 +2,12 @@
 
 Layers (see ``docs/observability.md``):
 
-- :mod:`repro.obs.spans` — hierarchical run → step → kernel spans
-  wrapping the :class:`repro.gpu.trace.TimeLine` phase accounting,
-  with per-phase counters (calls, FLOPs, bytes moved) and the device
+- :mod:`repro.obs.spans` — hierarchical run → step → kernel spans fed
+  by every :meth:`repro.gpu.device.SimulatedGPU.charge`, with
+  per-phase counters (calls, FLOPs, bytes moved) and the device
   memory high-water mark.
-- :mod:`repro.obs.chrome` — Chrome trace-event export of a recorded
-  run (loadable in Perfetto / ``chrome://tracing``).
+- :mod:`repro.obs.chrome` — the Chrome trace-event export of a
+  recorded run (loadable in Perfetto / ``chrome://tracing``).
 - :mod:`repro.obs.artifact` — the versioned ``BENCH_*.json`` series
   artifact and the bench-side :func:`~repro.obs.artifact.attach_series`
   publisher.

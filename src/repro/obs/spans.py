@@ -10,10 +10,10 @@ Kernel spans carry the modeled seconds, a FLOP estimate and the bytes
 moved (both from the :mod:`repro.perfmodel.costs` word model via the
 executor timing hooks), the device id, and the device-memory
 high-water mark sampled at charge time.  The recorder lays spans out
-on a single modeled clock — the same sequential layout
-:meth:`repro.gpu.trace.TimeLine.to_chrome_trace` uses — so the span
-tree, the timeline, and the Chrome-trace export all agree on phase
-attribution and totals.
+on a single modeled clock, and :mod:`repro.obs.chrome` exports that
+layout, so the span tree, the device ledger
+(:meth:`repro.gpu.device.SimulatedGPU.breakdown`) and the Chrome trace
+all agree on phase attribution and totals.
 
 Stream-scheduled work (:mod:`repro.gpu.streams`) places kernels at an
 explicit ``start`` on a named per-device ``stream`` instead of the

@@ -187,7 +187,7 @@ def _run_solo(req: DecompRequest, a: np.ndarray,
             factors={"q_shape": list(shape_of(q)),
                      "r_shape": list(shape_of(r))},
             modeled_seconds=ex.seconds,
-            breakdown=dict(ex.timeline.breakdown()),
+            breakdown=ex.breakdown(),
             wall_run_s=wall, payload=(q, r))
 
 

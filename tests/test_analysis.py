@@ -93,6 +93,12 @@ class TestRS102:
         out = run_rule(tmp_path, src, select=["RS102"])
         assert rules_of(out) == ["RS102"]
 
+    def test_flags_ledger_book_first_argument(self, tmp_path):
+        src = "def f(dev):\n    dev.book('bogus', 1.0)\n"
+        out = run_rule(tmp_path, src, select=["RS102"])
+        assert rules_of(out) == ["RS102"]
+        assert "book()" in out[0].message
+
     def test_flags_bad_phase_default(self, tmp_path):
         src = "def f(x, phase='qrcpp'):\n    return x\n"
         out = run_rule(tmp_path, src, select=["RS102"])
@@ -351,9 +357,17 @@ class TestRS108:
     def test_flags_any_charge_attribute(self, tmp_path):
         src = ("def f(dev, tl):\n"
                "    dev.charge('comms', 1.0, 'a')\n"
-               "    tl.timeline.charge('comms', 1.0, 'b')\n")
+               "    tl.streams.device.charge('comms', 1.0, 'b')\n")
         out = run_rule(tmp_path, src, rel=self.MGPU, select=["RS108"])
         assert rules_of(out) == ["RS108", "RS108"]
+
+    def test_flags_direct_ledger_book(self, tmp_path):
+        src = ("class Ex:\n"
+               "    def op(self, secs):\n"
+               "        self.device.book('gemm_iter', secs)\n")
+        out = run_rule(tmp_path, src, rel=self.MGPU, select=["RS108"])
+        assert rules_of(out) == ["RS108"]
+        assert ".book()" in out[0].message
 
     def test_stream_submit_passes(self, tmp_path):
         src = ("class Ex:\n"

@@ -122,6 +122,17 @@ class TestKernelContract:
         with pytest.raises(CholeskyBreakdownError):
             bk.cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_cholesky_non_finite_gram_is_breakdown(self, bad):
+        bk = NumpyBackend()
+        with pytest.raises(CholeskyBreakdownError, match="not finite"):
+            bk.cholesky(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_cholesky_finite_non_square_is_not_breakdown(self):
+        with pytest.raises(ValueError) as info:
+            NumpyBackend().cholesky(np.ones((2, 3)))
+        assert not isinstance(info.value, CholeskyBreakdownError)
+
     def test_rng_shared_across_backends(self):
         # Omega must be backend-independent: always numpy PCG64.
         draws = []

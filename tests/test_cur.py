@@ -69,3 +69,17 @@ class TestCUR:
         d2 = cur_decomposition(lowrank_matrix, cfg)
         np.testing.assert_array_equal(d1.cols, d2.cols)
         np.testing.assert_array_equal(d1.rows, d2.rows)
+
+
+class TestSampleSizeAboveN:
+    """``l = k + p`` above the column count of A (and of A^T's row
+    count) is clamped on both pivot passes."""
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_full_rank_input_is_recovered(self, rng, q):
+        a = rng.standard_normal((60, 50))
+        cfg = SamplingConfig(rank=50, oversampling=10, power_iterations=q,
+                             seed=1)
+        d = cur_decomposition(a, cfg)
+        assert sorted(d.cols) == list(range(50))
+        assert d.residual(a) < 1e-10

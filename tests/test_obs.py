@@ -16,7 +16,7 @@ from repro.bench.harness import OBS_RUN_CONFIGS, observed_fixed_rank
 from repro.errors import ConfigurationError
 from repro.gpu.device import GPUExecutor, SimulatedGPU
 from repro.gpu.memory import DeviceMemory
-from repro.gpu.trace import PHASES, TimeLine
+from repro.gpu.trace import PHASES
 from repro.obs import (
     SCHEMA_VERSION, SpanRecorder, attach_series, attached_records,
     build_artifact, diff_artifacts, figure_record, load_artifact, point,
@@ -114,8 +114,8 @@ class TestDeviceIntegration:
         gpu = SimulatedGPU()
         with pytest.raises(ConfigurationError, match="unknown phase"):
             gpu.charge("warmup", 1.0)
-        # Nothing must have landed on the timeline either.
-        assert gpu.timeline.total == 0.0
+        # Nothing must have landed on the ledger either.
+        assert gpu.elapsed == 0.0
 
     def test_charge_forwards_to_attached_recorder(self):
         gpu = SimulatedGPU()
@@ -125,7 +125,7 @@ class TestDeviceIntegration:
         (kernel,) = rec.kernel_spans()
         assert kernel.name == "geqrf"
         assert kernel.flops == 1e9
-        assert gpu.timeline.total == rec.total == 0.5
+        assert gpu.elapsed == rec.total == 0.5
 
     def test_executor_run_matches_timeline_exactly(self):
         # The acceptance invariant: recorder total == executor clock,
@@ -155,20 +155,24 @@ class TestDeviceIntegration:
 
 
 # ---------------------------------------------------------------------------
-# TimeLine.stats() and DeviceMemory.reset()
+# Per-phase call counts and DeviceMemory.reset()
 # ---------------------------------------------------------------------------
 
 class TestTraceAndMemory:
     def test_timeline_stats_counts_calls(self):
-        tl = TimeLine()
-        tl.charge("qr", 1.0)
-        tl.charge("qr", 2.0)
-        tl.charge("prng", 0.5)
-        stats = tl.stats()
-        assert stats["qr"] == {"seconds": 3.0, "calls": 2}
+        gpu = SimulatedGPU()
+        rec = SpanRecorder()
+        gpu.attach_recorder(rec)
+        gpu.charge("qr", 1.0)
+        gpu.charge("qr", 2.0)
+        gpu.charge("prng", 0.5)
+        stats = rec.counters_dict()
+        assert stats["qr"]["seconds"] == 3.0
+        assert stats["qr"]["calls"] == 2
         assert stats["prng"]["calls"] == 1
         assert "sampling" not in stats
         assert list(stats) == [p for p in PHASES if p in stats]
+        assert gpu.breakdown()["qr"] == 3.0
 
     def test_device_memory_reset_clears_high_water(self):
         mem = DeviceMemory(capacity_bytes=1000)

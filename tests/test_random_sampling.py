@@ -6,7 +6,7 @@ import pytest
 from repro.config import SamplingConfig
 from repro.core.lowrank import best_rank_k_error
 from repro.core.random_sampling import random_sampling
-from repro.errors import (ConfigurationError, ShapeError,
+from repro.errors import (ConfigurationError, ReproError, ShapeError,
                           SymbolicExecutionError)
 from repro.gpu.device import GPUExecutor, NumpyExecutor, SymArray
 from repro.matrices.synthetic import exponent_matrix, power_matrix
@@ -115,6 +115,18 @@ class TestSampleSizeAboveN:
         cfg = SamplingConfig(rank=50, oversampling=10, power_iterations=q,
                              seed=1)
         assert random_sampling(a, cfg).residual(a) < 1e-10
+
+
+class TestOverflowingInput:
+    def test_overflowing_gram_raises_only_taxonomy_errors(self, rng):
+        """A * 1e200 overflows the Gram matrix; the failure must be a
+        repro.errors type, not scipy's raw finiteness ValueError."""
+        a = rng.standard_normal((200, 40)) * 1e200
+        cfg = SamplingConfig(rank=5, oversampling=5, power_iterations=1,
+                             seed=0)
+        with np.errstate(all="ignore"), pytest.raises(Exception) as info:
+            random_sampling(a, cfg)
+        assert isinstance(info.value, ReproError), repr(info.value)
 
 
 class TestDeterminism:

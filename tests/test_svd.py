@@ -67,3 +67,17 @@ class TestRandomizedSVD:
         f = randomized_svd(lowrank_matrix, SamplingConfig(rank=12,
                                                           seed=7))
         assert f.k == 12
+
+
+class TestSampleSizeAboveN:
+    """``l = k + p > n`` clamps the sample to ``n`` rows (the same
+    clamp ``random_sampling`` uses)."""
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_full_rank_input_is_recovered(self, rng, q):
+        a = rng.standard_normal((60, 50))
+        cfg = SamplingConfig(rank=50, oversampling=10, power_iterations=q,
+                             seed=1)
+        f = randomized_svd(a, cfg)
+        assert f.sample_size == 50
+        assert f.residual(a) < 1e-10

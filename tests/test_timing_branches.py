@@ -11,6 +11,7 @@ from repro.gpu.cluster import ClusterExecutor, NetworkSpec
 from repro.gpu.device import GPUExecutor, SymArray
 from repro.gpu.kernels import KernelModel
 from repro.gpu.multigpu import MultiGPUExecutor
+from repro.obs.spans import SpanRecorder
 
 M, N, K = 120_000, 2_000, 30
 
@@ -21,29 +22,31 @@ def _run(ex, q=1, m=M, n=N, k=K):
     return random_sampling(SymArray((m, n)), cfg, executor=ex)
 
 
+def _labels(ex, phase=None, q=1):
+    """Accounted kernel labels of one run, optionally of one phase."""
+    rec = SpanRecorder()
+    ex.attach_recorder(rec)
+    _run(ex, q=q)
+    return [s.name for s in rec.kernel_spans()
+            if s.accounted and (phase is None or s.phase == phase)]
+
+
 class TestMultiGPUBranches:
     def test_local_gemm_shapes_in_labels(self):
-        ex = MultiGPUExecutor(ng=3, seed=0)
-        _run(ex)
+        labels = _labels(MultiGPUExecutor(ng=3, seed=0))
         local = -(-M // 3)
-        labels = [e[1] for e in ex.timeline.events]
         assert any(f"x{local}" in lab and "local" in lab
                    for lab in labels)
 
     def test_b_reduce_and_qr_comms_events(self):
-        ex = MultiGPUExecutor(ng=2, seed=0)
-        _run(ex)
-        comm_labels = [e[1] for e in ex.timeline.events
-                       if e[0] == "comms"]
+        comm_labels = _labels(MultiGPUExecutor(ng=2, seed=0), "comms")
         assert any("reduce B" in lab for lab in comm_labels)
         assert any("h2d B" in lab for lab in comm_labels)
         assert any("cholqr" in lab for lab in comm_labels)
 
     def test_replicated_b_orth_on_cpu(self):
-        ex = MultiGPUExecutor(ng=2, seed=0)
-        _run(ex, q=1)
-        orth_labels = [e[1] for e in ex.timeline.events
-                       if e[0] == "orth_iter"]
+        orth_labels = _labels(MultiGPUExecutor(ng=2, seed=0),
+                              "orth_iter", q=1)
         # B (width n) factored on the CPU; C (width m) via multi-GPU
         # CholQR.
         assert any("cpu-" in lab for lab in orth_labels)
@@ -70,22 +73,18 @@ class TestMultiGPUBranches:
         c_prev = SymArray((20, M))
         c_new = SymArray((8, M))
         ex.block_orth_rows(c_prev, c_new)
-        assert ex.timeline.seconds("comms") > 0
-        assert ex.timeline.seconds("orth_iter") > 0
+        assert ex.breakdown()["comms"] > 0
+        assert ex.breakdown()["orth_iter"] > 0
 
 
 class TestClusterBranches:
     def test_network_events_only_multinode(self):
         single = ClusterExecutor(nodes=1, gpus_per_node=3, seed=0)
-        _run(single)
-        labels = [e[1] for e in single.timeline.events
-                  if e[0] == "comms"]
+        labels = _labels(single, "comms")
         assert not any("allreduce" in lab for lab in labels)
 
         multi = ClusterExecutor(nodes=4, gpus_per_node=3, seed=0)
-        _run(multi)
-        labels = [e[1] for e in multi.timeline.events
-                  if e[0] == "comms"]
+        labels = _labels(multi, "comms")
         assert any("allreduce" in lab for lab in labels)
 
     def test_network_spec_drives_comm_time(self):
