@@ -1,5 +1,5 @@
 """Host-side dense numerics: the one sanctioned home of raw
-``numpy.linalg`` / ``numpy.fft`` / ``scipy.linalg`` calls.
+``numpy.linalg`` / ``numpy.fft`` calls.
 
 Every module outside :mod:`repro.backends` must route linear algebra
 either through an executor operation (so the FLOPs are charged to the
@@ -13,6 +13,16 @@ canonical, bit-stable host implementation.
 These helpers deliberately stay thin: same semantics, same defaults,
 same exception types as the underlying routines, except where a
 docstring says otherwise.
+
+Every call here goes to numpy's own BLAS/LAPACK; nothing imports
+``scipy.linalg``.  The numpy and scipy wheels each bundle an OpenBLAS
+with its own thread pool, and after a threaded scipy call its workers
+keep spinning, so the next numpy GEMM shares the cores with them (on a
+2-core host a 60x6000 by 6000x3000 GEMM runs at half speed right after
+a 16x800 ``scipy.linalg.solve_triangular``).  One library means one pool.  The
+triangular solve is therefore an explicit inverse of the small factor
+applied with one GEMM (see :func:`solve_triangular`), the same split
+MAGMA's GPU ``dtrsm`` uses.
 """
 
 from __future__ import annotations
@@ -20,7 +30,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
+
+from ..errors import ShapeError
 
 __all__ = [
     "LinAlgError", "norm", "norm2", "column_norms", "row_norms",
@@ -28,8 +39,8 @@ __all__ = [
     "solve_triangular", "fft",
 ]
 
-#: The breakdown exception of the host LAPACK routines (scipy re-uses
-#: numpy's class, so one ``except`` clause covers both).
+#: The breakdown exception of the host LAPACK routines (a
+#: ``ValueError`` subclass).
 LinAlgError = np.linalg.LinAlgError
 
 
@@ -85,21 +96,42 @@ def lstsq(a, b) -> np.ndarray:
 
 
 def cholesky_upper(g) -> np.ndarray:
-    """Upper Cholesky factor ``R`` with ``R^T R = g``.
+    """Upper Cholesky factor ``R`` with ``R^T R = g`` (LAPACK ``potrf``
+    on the lower triangle of ``g``, transposed).
 
-    Raises :data:`LinAlgError` when ``g`` is not numerically SPD;
-    callers that want the repo's error taxonomy should go through
-    :meth:`repro.backends.base.ComputeBackend.cholesky`, which maps the
-    breakdown to :class:`repro.errors.CholeskyBreakdownError`.
+    Raises :data:`LinAlgError` when ``g`` is not numerically SPD or not
+    finite (LAPACK would return NaN factors for a non-finite input
+    without complaint), and :class:`repro.errors.ShapeError` when it is
+    not square.  Callers that want the repo's error taxonomy should go
+    through :meth:`repro.backends.base.ComputeBackend.cholesky`, which
+    maps the breakdown to :class:`repro.errors.CholeskyBreakdownError`.
     """
-    return scipy.linalg.cholesky(g, lower=False)
+    g = np.asarray(g)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ShapeError(f"Cholesky needs a square matrix, got {g.shape}")
+    if not np.isfinite(g).all():
+        raise LinAlgError("matrix is not finite")
+    return np.linalg.cholesky(g).T
 
 
 def solve_triangular(r, b, lower: bool = False,
                      trans: str = "N") -> np.ndarray:
-    """Triangular solve (LAPACK ``trtrs``); ``trans="T"`` solves
-    ``r^T x = b``."""
-    return scipy.linalg.solve_triangular(r, b, lower=lower, trans=trans)
+    """Triangular solve; ``trans="T"`` solves ``r^T x = b``.
+
+    Only the triangle named by ``lower`` is read.  The factor is
+    inverted once and applied with one GEMM.  The inverse is taken of
+    the upper-triangular orientation: LU of an upper-triangular matrix
+    makes no row exchanges and leaves the matrix unchanged, so
+    ``np.linalg.inv`` computes LAPACK's ``trtri`` (a column-by-column
+    back substitution).  A zero diagonal raises :data:`LinAlgError`.
+    """
+    r = np.asarray(r)
+    upper = np.triu(r.T if lower else r)
+    # op(r) is ``upper`` itself unless exactly one of (lower,
+    # transposed) holds; then it is ``upper.T``.
+    transposed = trans in ("T", "C")
+    inv = np.linalg.inv(upper)
+    return (inv.T if lower != transposed else inv) @ np.asarray(b)
 
 
 def fft(a, n: Optional[int] = None, axis: int = 0) -> np.ndarray:

@@ -1,10 +1,9 @@
 """The host NumPy backend: the repo's original math engine, extracted.
 
-Every kernel delegates to :mod:`repro.backends.hostmath` — the exact
-BLAS/LAPACK call sequence the executors used before the backend split —
-so results are bit-identical to the historical behavior and to
-:class:`repro.backends.simulated.SimulatedBackend` (which subclasses
-this without touching the math).
+Every kernel delegates to :mod:`repro.backends.hostmath`, so every
+BLAS/LAPACK call runs on numpy's one library and results are
+bit-identical to :class:`repro.backends.simulated.SimulatedBackend`
+(which subclasses this without touching the math).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(ComputeBackend):
-    """Plain NumPy/SciPy on the host, timed at real wall-clock speed."""
+    """Plain NumPy on the host, timed at real wall-clock speed."""
 
     name = "numpy"
     is_model = False
@@ -33,14 +32,9 @@ class NumpyBackend(ComputeBackend):
         try:
             return hostmath.cholesky_upper(g)
         except hostmath.LinAlgError as exc:
+            # Not SPD, or an overflowed (non-finite) Gram matrix: both
+            # are breakdowns, not caller errors.
             raise CholeskyBreakdownError(str(exc)) from exc
-        except ValueError as exc:
-            # scipy rejects a non-finite input with a ValueError; an
-            # overflowed Gram matrix is a breakdown, not a caller error.
-            if np.isfinite(g).all():
-                raise
-            raise CholeskyBreakdownError(
-                "Gram matrix is not finite") from exc
 
     def _solve_triangular(self, r, b, lower: bool, trans: str
                           ) -> np.ndarray:

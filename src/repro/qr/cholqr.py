@@ -58,8 +58,11 @@ def _shifted_chol_upper(g: np.ndarray,
     The shift follows Fukaya et al.'s shifted-CholQR recipe: start at
     ``11 (m eps) ||G||_2``-scale and grow by 10x until POTRF succeeds.
     The resulting Q is only approximately orthogonal and *must* be
-    reorthogonalized by the caller.
+    reorthogonalized by the caller.  A non-finite (overflowed) Gram
+    matrix breaks down at once: no shift makes it factorable.
     """
+    if not np.isfinite(g).all():
+        raise CholeskyBreakdownError("Gram matrix is not finite")
     norm = backend.norm(g, ord=2)
     if norm == 0.0:
         raise CholeskyBreakdownError("Gram matrix is zero")

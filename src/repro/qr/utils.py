@@ -23,6 +23,9 @@ __all__ = [
     "ensure_all_finite",
 ]
 
+#: Elements per block of :func:`ensure_all_finite`'s exact scan.
+_FINITE_SCAN_ELEMENTS = 1 << 16
+
 
 def ensure_all_finite(a, name: str = "a") -> None:
     """Raise :class:`repro.errors.ShapeError` if ``a`` contains NaN or
@@ -32,11 +35,25 @@ def ensure_all_finite(a, name: str = "a") -> None:
     kernels with obscure errors, so the public entry points check up
     front (disable via their ``check_finite=False`` for hot paths, as
     in SciPy).  Symbolic arrays are skipped (no data to check).
+
+    A floating 1-D or 2-D array is checked by its column sums, one GEMV
+    with no ``a``-sized temporary: any NaN or infinity makes its
+    column's sum non-finite.  Only when some sum is non-finite (which
+    finite entries can also cause, by overflow) does an exact scan run,
+    a block of rows at a time.
     """
     if not isinstance(a, np.ndarray):
         return
-    if not np.all(np.isfinite(a)):
-        raise ShapeError(f"{name} contains NaN or infinite entries")
+    if a.ndim in (1, 2) and a.size and np.issubdtype(a.dtype, np.inexact):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.ones(a.shape[0], a.dtype) @ a
+        if np.isfinite(sums).all():
+            return
+    blocks = a if a.ndim else a.reshape(1)
+    rows = max(1, _FINITE_SCAN_ELEMENTS // max(1, blocks[:1].size))
+    for i in range(0, blocks.shape[0], rows):
+        if not np.isfinite(blocks[i:i + rows]).all():
+            raise ShapeError(f"{name} contains NaN or infinite entries")
 
 
 def as_2d_float(a: np.ndarray, name: str = "a") -> np.ndarray:

@@ -201,6 +201,127 @@ class TestParity:
 
 
 # ---------------------------------------------------------------------------
+# One BLAS pool: the host kernels run on numpy's library only
+# ---------------------------------------------------------------------------
+class _Forbidden:
+    """Stands in for a ``scipy.linalg`` function or submodule: any use
+    fails the test."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"scipy.linalg.{self._name} was called")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"scipy.linalg.{self._name}.{attr} was used")
+
+
+@pytest.fixture
+def no_scipy_linalg(monkeypatch):
+    import sys
+    import scipy.linalg
+    for name in ("cholesky", "solve_triangular", "blas", "lapack"):
+        monkeypatch.setattr(scipy.linalg, name, _Forbidden(name))
+    for name in ("blas", "lapack"):
+        monkeypatch.setitem(sys.modules, f"scipy.linalg.{name}",
+                            _Forbidden(name))
+
+
+class TestOneBlasPool:
+    def test_hostmath_does_not_import_scipy(self):
+        import ast
+        import inspect
+        tree = ast.parse(inspect.getsource(hostmath))
+        modules = [a.name for n in ast.walk(tree)
+                   if isinstance(n, ast.Import) for a in n.names]
+        modules += [n.module or "" for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in modules if m.startswith("scipy")]
+
+    def test_random_sampling_without_scipy(self, no_scipy_linalg):
+        a, f = _factors("numpy", "exponent")
+        assert f.residual(a) < 0.5
+
+    def test_adaptive_sampling_without_scipy(self, no_scipy_linalg):
+        from repro.core.adaptive import adaptive_sampling
+        a = get_matrix("exponent", 300, 120, seed=3)
+        res = adaptive_sampling(a, AdaptiveConfig(
+            tolerance=1e-3, seed=11, backend="numpy"))
+        assert res.converged
+
+    def test_serve_batch_without_scipy(self, no_scipy_linalg):
+        from repro.serve import (DecompRequest, MatrixRef, ResultArtifact,
+                                 plan_batches, run_jobs)
+        ref = MatrixRef(name="power", m=400, n=96, seed=3)
+        reqs = [DecompRequest(matrix=ref, rank=8 + i, oversampling=6,
+                              power_iterations=1, seed=i,
+                              backend="numpy") for i in range(3)]
+        plan = plan_batches(reqs)[0]
+        assert plan.coalesced
+        results = run_jobs(plan)
+        for r in reqs:
+            assert isinstance(results[r.request_id], ResultArtifact), \
+                results[r.request_id]
+
+
+def _kappa_upper(l, kappa, seed):
+    """An ``l x l`` upper-triangular factor with condition ``kappa``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((l, l)))
+    v, _ = np.linalg.qr(rng.standard_normal((l, l)))
+    s = np.logspace(0, -np.log10(kappa), l)
+    return np.linalg.qr((u * s) @ v.T)[1]
+
+
+def _substitute(t, b, lower):
+    """Reference: forward/back substitution of ``t x = b``."""
+    n = t.shape[0]
+    b2 = np.asarray(b, dtype=float).reshape(n, -1)
+    x = np.zeros_like(b2)
+    for i in (range(n) if lower else range(n - 1, -1, -1)):
+        j = slice(0, i) if lower else slice(i + 1, n)
+        x[i] = (b2[i] - t[i, j] @ x[j]) / t[i, i]
+    return x.reshape(np.shape(b))
+
+
+class TestSolveTriangular:
+    @pytest.mark.parametrize("l", [8, 60, 256])
+    @pytest.mark.parametrize("kappa", [1e2, 1e8])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
+    def test_matches_substitution(self, l, kappa, lower, trans, layout):
+        upper = _kappa_upper(l, kappa, seed=l)
+        r = upper.T if lower else upper
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal(l if layout == "vector" else (l, 9))
+        if layout == "F":
+            b = np.asfortranarray(b)
+        # The other triangle must not be read.
+        junk = rng.standard_normal((l, l))
+        r_in = r + (np.triu(junk, 1) if lower else np.tril(junk, -1))
+        x = hostmath.solve_triangular(r_in, b, lower=lower, trans=trans)
+        op = r.T if trans == "T" else r
+        ref = _substitute(op, b, lower=lower != (trans == "T"))
+        assert x.shape == b.shape
+        eps = np.finfo(float).eps
+        cond = np.linalg.cond(r)
+        assert (np.linalg.norm(x - ref)
+                <= 10 * l * eps * cond * np.linalg.norm(ref))
+        assert (np.linalg.norm(op @ x - b)
+                <= 10 * l * eps * np.linalg.norm(op) * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_zero_diagonal_raises(self, lower):
+        r = np.triu(np.ones((4, 4)))
+        r[2, 2] = 0.0
+        with pytest.raises(hostmath.LinAlgError):
+            hostmath.solve_triangular(r.T if lower else r, np.ones(4),
+                                      lower=lower)
+
+
+# ---------------------------------------------------------------------------
 # Config and CLI round-trips
 # ---------------------------------------------------------------------------
 class TestSelectionRoundTrip:

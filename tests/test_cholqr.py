@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.backends import NumpyBackend
+from repro.config import SamplingConfig
+from repro.core.random_sampling import random_sampling
 from repro.errors import CholeskyBreakdownError, ShapeError
+from repro.gpu.device import NumpyExecutor
 from repro.matrices.synthetic import exponent_spectrum, spectrum_matrix
 from repro.qr.cholqr import (cholqr2_columns, cholqr2_rows, cholqr_columns,
                              cholqr_rows, mixed_precision_cholqr_rows)
+from repro.qr.utils import orthogonality_defect
 
 from tests.helpers import assert_orthonormal_columns, assert_orthonormal_rows
 
@@ -126,6 +131,38 @@ class TestCholQR2:
         d2 = np.linalg.norm(q2 @ q2.T - np.eye(40))
         assert d2 < d1
         assert d2 < 1e-12
+
+    @pytest.mark.parametrize("kappa", [1e0, 1e4, 1e8])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_eps_level_up_to_kappa_1e8(self, kappa, seed):
+        # The triangular solves invert R and apply it with GEMM; CholQR2
+        # must still reach the 1e-15 level of orthogonality and residual.
+        b = spectrum_matrix(60, 2000, np.logspace(0, -np.log10(kappa), 60),
+                            seed=seed)
+        q, r = cholqr2_rows(b)
+        assert orthogonality_defect(q, rows=True) < 1e-14
+        assert np.linalg.norm(r.T @ q - b) < 1e-14 * np.linalg.norm(b)
+        qc, rc = cholqr2_columns(b.T)
+        assert orthogonality_defect(qc) < 1e-14
+        assert np.linalg.norm(qc @ rc - b.T) < 1e-14 * np.linalg.norm(b)
+
+
+class TestShiftFallback:
+    def test_non_finite_gram_breaks_down_at_once(self, capfd):
+        # A*1e200 overflows the Gram matrix.  The shift fallback must
+        # not take its 2-norm (LAPACK prints a DLASCL complaint) nor
+        # retry 30 shifts: it raises at once.
+        a = np.random.default_rng(0).standard_normal((200, 40)) * 1e200
+        bk = NumpyBackend()
+        with np.errstate(all="ignore"), \
+                pytest.raises(CholeskyBreakdownError, match="not finite"):
+            random_sampling(a, SamplingConfig(rank=5, oversampling=5,
+                                              power_iterations=1, seed=0),
+                            executor=NumpyExecutor(seed=0, backend=bk))
+        out, err = capfd.readouterr()
+        assert out == "" and err == ""
+        # The retry loop alone would make 30 Cholesky calls.
+        assert bk.stats.kernel_calls < 30
 
 
 class TestMixedPrecisionCholQR:

@@ -44,6 +44,46 @@ class TestEnsureAllFinite:
         with pytest.raises(ShapeError, match="input_matrix"):
             ensure_all_finite(nan_matrix, "input_matrix")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_last_element_caught(self, rng, bad):
+        a = rng.standard_normal((70, 30))
+        a[-1, -1] = bad
+        with pytest.raises(ShapeError):
+            ensure_all_finite(a)
+        with pytest.raises(ShapeError):
+            ensure_all_finite(a.ravel())
+
+    def test_overflowing_column_sums_pass(self):
+        # Finite entries whose column sums overflow take the exact scan.
+        a = np.full((4, 3), 1e308)
+        a[1] = -1e308 / 3
+        ensure_all_finite(a)
+        a[2, 1] = np.nan
+        with pytest.raises(ShapeError):
+            ensure_all_finite(a)
+
+    def test_opposite_infinities_caught(self):
+        a = np.ones((6, 2))
+        a[0, 0], a[1, 0] = np.inf, -np.inf
+        with pytest.raises(ShapeError):
+            ensure_all_finite(a)
+
+    @pytest.mark.parametrize("layout", ["F", "view"])
+    def test_layouts(self, rng, layout):
+        base = rng.standard_normal((90, 40))
+        a = (np.asfortranarray(base) if layout == "F"
+             else base[1::3, ::2])
+        ensure_all_finite(a)
+        base[-2, -2] = np.nan
+        a = (np.asfortranarray(base) if layout == "F"
+             else base[1::3, ::2])
+        with pytest.raises(ShapeError):
+            ensure_all_finite(a)
+
+    def test_integer_and_empty_inputs_pass(self):
+        ensure_all_finite(np.arange(12).reshape(3, 4))
+        ensure_all_finite(np.zeros((0, 5)))
+
 
 class TestEntryPointGuards:
     def test_random_sampling_rejects_nan(self, nan_matrix):
